@@ -156,7 +156,9 @@ pub fn lint_execution(program: Program) -> Vec<LintDiagnostic> {
             .with_obs(obs.clone()),
     );
     machine.run(program, &mut NullObserver);
-    let count = cheetah_sim::metrics::snapshot_of(&obs).footprint_violations;
+    let count = obs
+        .counter(cheetah_sim::metrics::FOOTPRINT_VIOLATIONS)
+        .get();
     if count > 0 {
         vec![LintDiagnostic::FootprintViolations { count }]
     } else {

@@ -146,20 +146,11 @@ fn profile_once(
     let machine = Machine::new(MachineConfig::default());
     let report = machine.run(program, &mut profiler);
     let profile = profiler.finish();
-    let gauge = |name: &str| {
-        obs.gauges()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    let prefiltered = obs
-        .counters()
-        .iter()
-        .find(|(n, _)| *n == OBS_SAMPLES_PREFILTERED)
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
-    let tables = (gauge(OBS_OBJECT_TABLE), gauge(OBS_LINE_TABLE), prefiltered);
+    let tables = (
+        obs.gauge(OBS_OBJECT_TABLE).get(),
+        obs.gauge(OBS_LINE_TABLE).get(),
+        obs.counter(OBS_SAMPLES_PREFILTERED).get(),
+    );
     (report, profile, tables)
 }
 

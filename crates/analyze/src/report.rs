@@ -27,33 +27,8 @@
 //! footprint disables the pre-filter entirely.
 
 use crate::summary::{LineClass, StaticSummary};
-use cheetah_core::LinePrefilter;
+use cheetah_core::{layout_strategy, LinePrefilter, RepairStrategy};
 use cheetah_heap::AddressSpace;
-
-/// The layout fix the static analysis suggests for one object, mirroring
-/// the dynamic planner's `RepairStrategy` vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Suggestion {
-    /// One identity's extents dominate the object: pad it to exclusive
-    /// lines so neighbouring allocations stop sharing them.
-    PadToLine,
-    /// Identities' extents fall on disjoint lines once the object starts
-    /// at a line boundary: realigning suffices.
-    AlignToLine,
-    /// Identities interleave within lines: give each its own line-aligned
-    /// block.
-    SplitPerThread,
-}
-
-impl std::fmt::Display for Suggestion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Suggestion::PadToLine => "pad-to-line",
-            Suggestion::AlignToLine => "align-to-line",
-            Suggestion::SplitPerThread => "split-per-thread",
-        })
-    }
-}
 
 /// Where a reported object lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +56,10 @@ pub struct ObjectFinding {
     pub candidate_lines: u64,
     /// Distinct parallel identities touching the object's candidate lines.
     pub identities: u32,
-    /// Suggested layout fix; `None` when the object has no
-    /// false-sharing-candidate line (nothing a layout change could help).
-    pub suggestion: Option<Suggestion>,
+    /// Suggested layout fix, in the dynamic planner's vocabulary; `None`
+    /// when the object has no false-sharing-candidate line (nothing a
+    /// layout change could help).
+    pub suggestion: Option<RepairStrategy>,
 }
 
 /// The ranked static report: most-contended objects first.
@@ -277,55 +253,34 @@ fn identities_on(summary: &StaticSummary, start: u64, end: u64) -> u32 {
 }
 
 /// Synthesizes a layout suggestion for the object at `[start, end)` from
-/// declared extents, mirroring the dynamic planner's decision order:
-/// one touching identity → pad; alignment separates → align; otherwise
-/// split per thread.
-fn suggest(summary: &StaticSummary, start: u64, end: u64, line_size: u64) -> Option<Suggestion> {
-    // Clip each parallel identity's extents to the object.
-    let mut clipped: Vec<Vec<(u64, u64)>> = Vec::new();
+/// declared extents, through the dynamic planner's decision
+/// ([`layout_strategy`]).
+fn suggest(
+    summary: &StaticSummary,
+    start: u64,
+    end: u64,
+    line_size: u64,
+) -> Option<RepairStrategy> {
+    // Clip each parallel identity's extents to the object. Identities with
+    // identical clipped extents form one cluster — the static analogue of
+    // the planner's ownership signatures (re-spawned workers touch the same
+    // bytes in every phase).
+    let mut clusters: Vec<Vec<(u64, u64)>> = Vec::new();
     for (_, extents) in summary.parallel_extents() {
         let mut mine: Vec<(u64, u64)> = extents
             .iter()
             .filter(|e| e.start < end && start < e.end)
             .map(|e| (e.start.max(start) - start, e.end.min(end) - start))
             .collect();
-        if mine.is_empty() {
-            continue;
-        }
         mine.sort_unstable();
-        clipped.push(mine);
-    }
-    if clipped.is_empty() {
-        return None;
-    }
-    // Identities with identical clipped extents form one cluster — the
-    // static analogue of the planner's ownership signatures (re-spawned
-    // workers touch the same bytes in every phase).
-    let mut clusters: Vec<Vec<(u64, u64)>> = Vec::new();
-    for mine in clipped {
-        if !clusters.contains(&mine) {
+        if !mine.is_empty() && !clusters.contains(&mine) {
             clusters.push(mine);
         }
     }
-    if clusters.len() == 1 {
-        return Some(Suggestion::PadToLine);
-    }
-    // Would a line-aligned base put every cluster on its own lines?
-    let mut line_owner: Vec<(u64, usize)> = Vec::new();
-    for (index, cluster) in clusters.iter().enumerate() {
-        for &(lo, hi) in cluster {
-            for line in lo / line_size..=(hi - 1) / line_size {
-                match line_owner.iter().find(|&&(l, _)| l == line) {
-                    Some(&(_, owner)) if owner != index => {
-                        return Some(Suggestion::SplitPerThread);
-                    }
-                    Some(_) => {}
-                    None => line_owner.push((line, index)),
-                }
-            }
-        }
-    }
-    Some(Suggestion::AlignToLine)
+    layout_strategy(
+        clusters.iter().map(|cluster| cluster.iter().copied()),
+        line_size,
+    )
 }
 
 /// Builds the sound detector pre-filter: statically-private and untouched
@@ -449,7 +404,7 @@ mod tests {
         let report = analyze_layout(&summary, &space);
         let finding = report.candidates().next().expect("one candidate");
         assert_eq!(finding.class, LineClass::FalseShareCandidate);
-        assert_eq!(finding.suggestion, Some(Suggestion::SplitPerThread));
+        assert_eq!(finding.suggestion, Some(RepairStrategy::SplitPerThread));
         assert!(report.render("t").contains("split-per-thread"));
     }
 

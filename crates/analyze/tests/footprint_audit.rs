@@ -5,6 +5,7 @@
 //! in every build it bumps `sim.footprint_violations`, which this test
 //! pins to zero.
 
+use cheetah_sim::metrics::FOOTPRINT_VIOLATIONS;
 use cheetah_sim::observer::NullObserver;
 use cheetah_sim::{Machine, MachineConfig, ObsHandle};
 use cheetah_workloads::{AppConfig, APPS};
@@ -25,7 +26,7 @@ fn registry_footprints_cover_every_executed_access() {
             );
             let (program, _space) = app.build(&config).into_parts();
             machine.run(program, &mut NullObserver);
-            let violations = cheetah_sim::metrics::snapshot_of(&obs).footprint_violations;
+            let violations = obs.counter(FOOTPRINT_VIOLATIONS).get();
             assert_eq!(
                 violations,
                 0,
@@ -52,7 +53,7 @@ fn audit_also_covers_random_seeds() {
             );
             let (program, _space) = app.build(&config).into_parts();
             machine.run(program, &mut NullObserver);
-            let violations = cheetah_sim::metrics::snapshot_of(&obs).footprint_violations;
+            let violations = obs.counter(FOOTPRINT_VIOLATIONS).get();
             assert_eq!(
                 violations,
                 0,

@@ -24,18 +24,8 @@ fn run(app: &App, config: &AppConfig, prefilter: LinePrefilter) -> (RunReport, P
     );
     let report = Machine::new(MachineConfig::default()).run(program, &mut profiler);
     let profile = profiler.finish();
-    let tables: u64 = obs
-        .gauges()
-        .iter()
-        .filter(|(name, _)| *name == OBS_LINE_TABLE || *name == OBS_OBJECT_TABLE)
-        .map(|&(_, value)| value)
-        .sum();
-    let prefiltered = obs
-        .counters()
-        .iter()
-        .find(|(name, _)| *name == OBS_SAMPLES_PREFILTERED)
-        .map(|&(_, value)| value)
-        .unwrap_or(0);
+    let tables = obs.gauge(OBS_LINE_TABLE).get() + obs.gauge(OBS_OBJECT_TABLE).get();
+    let prefiltered = obs.counter(OBS_SAMPLES_PREFILTERED).get();
     (report, profile, tables, prefiltered)
 }
 

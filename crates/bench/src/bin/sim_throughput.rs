@@ -11,11 +11,12 @@
 //!
 //! Each cell runs as the **median of N repeats** (rep-major, so slow drift
 //! cannot bias one shard count), and the [`cheetah_sim::metrics`] counters
-//! are captured alongside wall-clock: `merged` (events the merge replays
-//! individually), `folded` (accesses batch-folded by precompute and
-//! settled-run folding), `surfaced` (observer deliveries) and `ordered`
-//! (merged − surfaced: replay forced by coherence ordering alone — the
-//! number extent classification exists to shrink). Event counts are
+//! of the cell's own registry are read alongside wall-clock: `merged`
+//! (events the merge replays individually), `folded` (accesses
+//! batch-folded by precompute and settled-run folding), `surfaced`
+//! (observer deliveries) and `ordered` (merged − surfaced: replay forced
+//! by coherence ordering alone — the number extent classification exists
+//! to shrink). Event counts are
 //! deterministic per (cell, shard count), so they are asserted stable
 //! across repeats rather than aggregated.
 //!
@@ -47,20 +48,44 @@
 
 use cheetah_core::{CheetahConfig, CheetahProfiler};
 use cheetah_obs::ObsHandle;
-use cheetah_sim::{metrics, ExecMetrics, Machine, MachineConfig, NullObserver, RunReport};
+use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver, RunReport};
 use cheetah_workloads::{find, table2_matrix, SweepCell, SWEEP_THREAD_COUNTS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::Instant;
 
+/// The execution counters one cell's registry accumulated.
+#[derive(Debug, Clone, Copy)]
+struct Events {
+    merged: u64,
+    folded: u64,
+    surfaced: u64,
+    classify_ns: u64,
+    precompute_ns: u64,
+    merge_ns: u64,
+}
+
+impl Events {
+    fn read(obs: &ObsHandle) -> Events {
+        let get = |name| obs.counter(name).get();
+        Events {
+            merged: get(metrics::MERGED_EVENTS),
+            folded: get(metrics::FOLDED_EVENTS),
+            surfaced: get(metrics::SURFACED_EVENTS),
+            classify_ns: get(metrics::CLASSIFY_NS),
+            precompute_ns: get(metrics::PRECOMPUTE_NS),
+            merge_ns: get(metrics::MERGE_NS),
+        }
+    }
+}
+
 /// One timed pipeline execution, reporting into `obs` (callers pass a
-/// fresh registry per call, so concurrent bench invocations and the global
-/// counters can never contaminate a cell's deltas); returns the profiled
-/// broken-build report (the determinism witness), the wall-clock
-/// nanoseconds and the event counters accumulated over the cell's four
-/// runs.
-fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128, ExecMetrics) {
+/// fresh registry per call, so the counters hold exactly this cell's
+/// runs); returns the profiled broken-build report (the determinism
+/// witness), the wall-clock nanoseconds and the event counters
+/// accumulated over the cell's four runs.
+fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128, Events) {
     let machine = Machine::new(
         MachineConfig::with_cores(cell.cores)
             .with_shards(shards)
@@ -72,7 +97,6 @@ fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128,
         fixed: true,
         ..broken
     };
-    let before = metrics::snapshot_of(obs);
     let start = Instant::now();
     let mut witness = None;
     for (config, profiled) in [
@@ -93,8 +117,11 @@ fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128,
         }
     }
     let wall = start.elapsed().as_nanos();
-    let events = metrics::snapshot_of(obs).since(&before);
-    (witness.expect("broken profiled run executed"), wall, events)
+    (
+        witness.expect("broken profiled run executed"),
+        wall,
+        Events::read(obs),
+    )
 }
 
 /// Runs one profiled broken-build execution with per-phase state-hash
@@ -168,12 +195,12 @@ struct Record {
     shards: u32,
     wall_ns: u128,
     speedup: f64,
-    events: ExecMetrics,
+    events: Events,
 }
 
 impl Record {
     fn ordered_events(&self) -> u64 {
-        self.events.merged_events - self.events.surfaced_events
+        self.events.merged - self.events.surfaced
     }
 }
 
@@ -305,29 +332,20 @@ fn main() {
         // one shard count's measurements against another's — and a median
         // is robust to the isolated stalls a loaded 1-CPU host produces.
         let mut walls: Vec<Vec<u128>> = vec![Vec::with_capacity(reps as usize); shard_counts.len()];
-        let mut events: Vec<Vec<ExecMetrics>> =
+        let mut events: Vec<Vec<Events>> =
             vec![Vec::with_capacity(reps as usize); shard_counts.len()];
         let mut baseline_report: Option<RunReport> = None;
         for _ in 0..reps {
             for (i, &shards) in shard_counts.iter().enumerate() {
-                // A fresh untraced registry per execution: event deltas are
-                // scoped to this cell, immune to the global registry's other
-                // users (satellite fix for cross-run contamination).
+                // A fresh untraced registry per execution: its counts are
+                // this cell's alone.
                 let (report, wall, cell_events) =
                     run_cell(cell, shards, &ObsHandle::fresh_untraced());
                 walls[i].push(wall);
                 if let Some(first) = events[i].first() {
                     assert_eq!(
-                        (
-                            first.merged_events,
-                            first.folded_events,
-                            first.surfaced_events
-                        ),
-                        (
-                            cell_events.merged_events,
-                            cell_events.folded_events,
-                            cell_events.surfaced_events
-                        ),
+                        (first.merged, first.folded, first.surfaced),
+                        (cell_events.merged, cell_events.folded, cell_events.surfaced),
                         "{} threads={} shards={}: event counts changed between repeats",
                         cell.app.name(),
                         cell.threads,
@@ -355,7 +373,7 @@ fn main() {
             // timings are noisy, so report their per-field medians to stay
             // consistent with the median wall-clock.
             let mut cell_events = events[i][0];
-            let ns_median = |f: fn(&ExecMetrics) -> u64| -> u64 {
+            let ns_median = |f: fn(&Events) -> u64| -> u64 {
                 let mut ns: Vec<u128> = events[i].iter().map(|e| u128::from(f(e))).collect();
                 median(&mut ns) as u64
             };
@@ -398,9 +416,9 @@ fn main() {
                 r.shards.to_string(),
                 format!("{:.1}", r.wall_ns as f64 / 1e6),
                 format!("{:.2}x", r.speedup),
-                r.events.merged_events.to_string(),
+                r.events.merged.to_string(),
                 r.ordered_events().to_string(),
-                r.events.folded_events.to_string(),
+                r.events.folded.to_string(),
             ])
         );
     }
@@ -410,7 +428,7 @@ fn main() {
     for r in &records {
         let row = rows.entry((r.threads, r.shards)).or_insert((0, 0, 0));
         row.0 += r.wall_ns;
-        row.1 += r.events.merged_events;
+        row.1 += r.events.merged;
         row.2 += r.ordered_events();
     }
     println!("\nPer-row aggregate (all workloads at a thread count):\n");
@@ -494,9 +512,9 @@ fn main() {
                 r.shards,
                 r.wall_ns,
                 r.speedup,
-                r.events.merged_events,
-                r.events.folded_events,
-                r.events.surfaced_events,
+                r.events.merged,
+                r.events.folded,
+                r.events.surfaced,
                 r.ordered_events(),
                 r.events.classify_ns,
                 r.events.precompute_ns,

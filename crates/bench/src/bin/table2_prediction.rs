@@ -19,7 +19,7 @@
 //! converge-iteration spans are collected in one tracing [`ObsHandle`] and
 //! exported as Perfetto-loadable Chrome trace-event JSON after the matrix
 //! completes. The default (untraced) path is byte-identical to before —
-//! spans on the global registry are no-ops.
+//! spans on an untraced registry are no-ops.
 
 use cheetah_core::{CheetahConfig, CheetahProfiler};
 use cheetah_obs::ObsHandle;
@@ -100,7 +100,7 @@ fn main() {
     let obs = if trace_path.is_some() {
         ObsHandle::fresh()
     } else {
-        ObsHandle::global()
+        ObsHandle::fresh_untraced()
     };
     let rows: Vec<Row> = table2_matrix()
         .into_iter()

@@ -1,21 +1,27 @@
 //! # cheetah-bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper (see DESIGN.md for the index):
+//! One binary per table/figure of the paper, plus the harnesses behind the
+//! committed `BENCH_*.json` baselines and their CI gates (see `README.md`
+//! for how to run them and `ARCHITECTURE.md` for what they measure):
 //!
-//! | Binary | Reproduces |
+//! | Binary | Reproduces / measures |
 //! |---|---|
 //! | `fig1_microbench` | Fig. 1 — expectation vs. reality of the FS microbenchmark |
 //! | `fig4_overhead` | Fig. 4 — Cheetah's runtime overhead over 17 applications |
 //! | `fig7_missed` | Fig. 7 — impact of the minor instances Cheetah misses |
 //! | `table1_precision` | Table 1 — predicted vs. real improvement |
+//! | `table2_prediction` | Table 2 as a matrix — fixpoint repair per cell; writes `BENCH_repair.json` |
 //! | `ablation_table` | two-entry table vs. ownership bitmap (§2.3) |
 //! | `ablation_sampling` | sampling-period sweep: recall vs. overhead (§2.1, §5) |
 //! | `ablation_baseline` | Cheetah vs. Predator-like full instrumentation (§6.1) |
-//! | `schedule_explore` | schedule-space exploration: hidden-FS detection over perturbed interleavings |
+//! | `sim_throughput` | simulator wall-clock and event counts by shard count; writes `BENCH_sim.json` |
+//! | `schedule_explore` | schedule-space exploration: hidden-FS detection over perturbed interleavings; writes `BENCH_schedule.json` |
+//! | `robustness_sweep` | fault injection and bounded memory as gated guarantees; writes `BENCH_robust.json` |
+//! | `bench_compare` | compares a fresh `BENCH_*.json` against the committed baseline |
 //!
-//! `cargo bench` additionally runs criterion micro-benchmarks of the hot
-//! paths (table update, directory access, sampling decision, detector
-//! ingest) and compact versions of the figure workloads.
+//! Run one with `cargo run --release -p cheetah-bench --bin <name>`. The
+//! end-to-end and per-layer timings live in the separate `perfbench`
+//! harness.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

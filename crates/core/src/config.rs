@@ -210,9 +210,10 @@ pub struct CheetahConfig {
     /// [`AssessModel::PerObject`] selects the paper's §3.2 reference
     /// model.
     pub assess_model: AssessModel,
-    /// Telemetry registry the profiler reports into: sampler delivery
-    /// counts, detector ingest counters and table-size gauges. Defaults to
-    /// the process-wide global registry; transparent to config equality.
+    /// Telemetry registry the profiler publishes its final counts into
+    /// when the run ends: sampler deliveries, detector ingest counters,
+    /// table-size gauges and fault tallies. Defaults to a private,
+    /// untraced registry; transparent to config equality.
     pub obs: cheetah_obs::ObsHandle,
     /// Deterministic sample-stream fault plan for robustness testing: when
     /// set, every sample passes through a seeded

@@ -13,10 +13,12 @@ use crate::detect::line_state::{LineDetail, LineState, StagedSample};
 use crate::detect::lines::LineAccum;
 use crate::detect::sketch::CountMinSketch;
 use cheetah_heap::{AddressSpace, Location, ShadowMap};
-use cheetah_obs::{Counter, Gauge, ObsHandle};
 use cheetah_pmu::Sample;
 use cheetah_sim::util::{FastMap, FastSet};
 use cheetah_sim::{AccessKind, CacheLineId, Cycles, ThreadId};
+
+// Registry names under which [`crate::CheetahProfiler`] publishes the
+// detector's final counts when a run ends.
 
 /// Counter name for samples fed into [`Detector::ingest`].
 pub const OBS_SAMPLES_INGESTED: &str = "detect.samples_ingested";
@@ -322,15 +324,6 @@ pub struct Detector {
     object_evictions: u64,
     detailed_lines: u64,
     peak_detailed_lines: u64,
-    obs_ingested: Counter,
-    obs_prefiltered: Counter,
-    obs_quarantined: Counter,
-    obs_lines_evicted: Counter,
-    obs_lines_repromoted: Counter,
-    obs_lines_denied: Counter,
-    obs_objects_evicted: Counter,
-    obs_objects: Gauge,
-    obs_lines: Gauge,
 }
 
 impl Detector {
@@ -341,17 +334,6 @@ impl Detector {
     /// Panics if the configuration is invalid (see
     /// [`DetectorConfig::validate`]).
     pub fn new(config: DetectorConfig) -> Self {
-        Detector::with_obs(config, &ObsHandle::global())
-    }
-
-    /// Creates a detector reporting ingest counts and table-size gauges
-    /// into `obs` instead of the global registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`DetectorConfig::validate`]).
-    pub fn with_obs(config: DetectorConfig, obs: &ObsHandle) -> Self {
         config.validate();
         let line_size = config.line_size;
         let bound = config.line_capacity.map(|capacity| LineBound {
@@ -380,15 +362,6 @@ impl Detector {
             object_evictions: 0,
             detailed_lines: 0,
             peak_detailed_lines: 0,
-            obs_ingested: obs.counter(OBS_SAMPLES_INGESTED),
-            obs_prefiltered: obs.counter(OBS_SAMPLES_PREFILTERED),
-            obs_quarantined: obs.counter(OBS_SAMPLES_QUARANTINED),
-            obs_lines_evicted: obs.counter(OBS_LINES_EVICTED),
-            obs_lines_repromoted: obs.counter(OBS_LINES_REPROMOTED),
-            obs_lines_denied: obs.counter(OBS_LINES_DENIED),
-            obs_objects_evicted: obs.counter(OBS_OBJECTS_EVICTED),
-            obs_objects: obs.gauge(OBS_OBJECT_TABLE),
-            obs_lines: obs.gauge(OBS_LINE_TABLE),
         }
     }
 
@@ -404,14 +377,6 @@ impl Detector {
     /// but otherwise ignored; callers with their own per-sample accounting
     /// should skip such samples too.
     pub fn ingest(&mut self, space: &AddressSpace, sample: &Sample) -> IngestOutcome {
-        self.obs_ingested.add(1);
-        let outcome = self.ingest_inner(space, sample);
-        self.obs_objects.set(self.objects.len() as u64);
-        self.obs_lines.set(self.lines.len() as u64);
-        outcome
-    }
-
-    fn ingest_inner(&mut self, space: &AddressSpace, sample: &Sample) -> IngestOutcome {
         self.total_samples += 1;
         // Hygiene gate: a malformed sample (torn PMU record, injected
         // corruption) is counted into quarantine *before* it can allocate
@@ -423,17 +388,14 @@ impl Detector {
         let limits = self.config.limits;
         if sample.latency > limits.max_latency {
             self.quarantine.bad_latency += 1;
-            self.obs_quarantined.add(1);
             return IngestOutcome::Quarantined;
         }
         if sample.thread.0 > limits.max_thread {
             self.quarantine.bad_thread += 1;
-            self.obs_quarantined.add(1);
             return IngestOutcome::Quarantined;
         }
         if sample.phase_index > limits.max_phase {
             self.quarantine.bad_phase += 1;
-            self.obs_quarantined.add(1);
             return IngestOutcome::Quarantined;
         }
         let line = sample.addr.line(self.config.line_size);
@@ -447,7 +409,6 @@ impl Detector {
             && self.config.prefilter.contains(line)
         {
             self.prefiltered_samples += 1;
-            self.obs_prefiltered.add(1);
             return IngestOutcome::Accepted;
         }
         // Sketch memory: an evicted line's earlier writes live on in the
@@ -542,7 +503,6 @@ impl Detector {
                 &mut self.unattributed_samples,
                 self.config.object_capacity,
                 &mut self.object_evictions,
-                &self.obs_objects_evicted,
                 space,
                 line,
                 &StagedSample {
@@ -579,7 +539,6 @@ impl Detector {
                 &mut self.unattributed_samples,
                 self.config.object_capacity,
                 &mut self.object_evictions,
-                &self.obs_objects_evicted,
                 space,
                 line,
                 line_size,
@@ -601,7 +560,6 @@ impl Detector {
             &mut self.unattributed_samples,
             self.config.object_capacity,
             &mut self.object_evictions,
-            &self.obs_objects_evicted,
             space,
             line,
             line_size,
@@ -671,7 +629,6 @@ impl Detector {
                     .unwrap_or(0);
                 if challenger <= coldest {
                     bound.denials += 1;
-                    self.obs_lines_denied.add(1);
                     // Age resident heat on a denial cadence: decay is what
                     // lets an equally-contended challenger eventually win
                     // a slot from an equally-contended incumbent.
@@ -687,7 +644,6 @@ impl Detector {
             }
             if credit > 0 {
                 bound.repromotions += 1;
-                self.obs_lines_repromoted.add(1);
             }
             // Sketch credit seeds the heat: a re-promoted hot line must
             // not re-enter as the coldest resident and thrash straight
@@ -739,7 +695,6 @@ impl Detector {
         }
         self.detailed_lines = self.detailed_lines.saturating_sub(1);
         bound.evictions += 1;
-        self.obs_lines_evicted.add(1);
         for heat in bound.heat.values_mut() {
             *heat /= 2;
         }
@@ -756,7 +711,6 @@ impl Detector {
         unattributed_samples: &mut u64,
         object_capacity: Option<usize>,
         object_evictions: &mut u64,
-        obs_objects_evicted: &Counter,
         space: &AddressSpace,
         line: CacheLineId,
         line_size: u64,
@@ -795,7 +749,6 @@ impl Detector {
             unattributed_samples,
             object_capacity,
             object_evictions,
-            obs_objects_evicted,
             space,
             line,
             sample,
@@ -817,7 +770,6 @@ impl Detector {
         unattributed_samples: &mut u64,
         object_capacity: Option<usize>,
         object_evictions: &mut u64,
-        obs_objects_evicted: &Counter,
         space: &AddressSpace,
         line: CacheLineId,
         sample: &StagedSample,
@@ -870,7 +822,6 @@ impl Detector {
                     let evicted = object_order.remove(index);
                     objects.remove(&evicted);
                     *object_evictions += 1;
-                    obs_objects_evicted.add(1);
                 }
             }
         }
@@ -989,6 +940,11 @@ impl Detector {
     /// Total quarantined samples.
     pub fn quarantined_samples(&self) -> u64 {
         self.quarantine.total()
+    }
+
+    /// Entries in the object and per-line accumulator tables.
+    pub(crate) fn table_sizes(&self) -> (u64, u64) {
+        (self.objects.len() as u64, self.lines.len() as u64)
     }
 
     /// Hygiene and bounded-memory statistics of the run so far. All zeros

@@ -26,6 +26,8 @@
 //! * **Reporting** ([`report`]): Fig. 5-style reports with object bounds,
 //!   invalidation counts, latency totals, predicted improvement and the
 //!   allocation callsite or global symbol name.
+//! * **Layout decision** ([`layout`]): the pad / align / split rule shared
+//!   by the repair planner and the static analysis.
 //!
 //! [`CheetahProfiler`] composes all of it behind
 //! [`cheetah_sim::ExecObserver`] so that profiling a simulated program is
@@ -40,6 +42,7 @@ pub mod classify;
 pub mod config;
 pub mod detect;
 pub mod explore;
+pub mod layout;
 pub mod profiler;
 pub mod report;
 
@@ -59,5 +62,6 @@ pub use detect::{
 // faulted configurations without depending on cheetah-pmu directly.
 pub use cheetah_pmu::{CorruptFields, FaultCounts, FaultPlan};
 pub use explore::{hidden_findings, union_findings, UnionFinding};
+pub use layout::{layout_strategy, RepairStrategy};
 pub use profiler::{CheetahProfiler, Profile};
 pub use report::{format_prediction_table, format_word_profile, AssessedInstance, PredictionRow};

@@ -12,10 +12,11 @@
 use crate::assess::{assess_with_model, AssessContext, AssessModel};
 use crate::classify::collect_instances;
 use crate::config::CheetahConfig;
-use crate::detect::detector::{Detector, IngestOutcome, IngestStats};
+use crate::detect::detector::{self, Detector, IngestOutcome, IngestStats};
 use crate::report::AssessedInstance;
 use cheetah_heap::AddressSpace;
-use cheetah_pmu::{FaultCounts, FaultInjector, Sample, SamplingEngine};
+use cheetah_obs::ObsHandle;
+use cheetah_pmu::{engine, faults, FaultCounts, FaultInjector, Sample, SamplingEngine};
 use cheetah_runtime::{PhaseInterval, PhaseTracker, ThreadRegistry, ThreadStats};
 use cheetah_sim::{AccessRecord, Cycles, ExecObserver, SamplerFork, ThreadId};
 
@@ -59,6 +60,8 @@ pub struct CheetahProfiler<'a> {
     faults: Option<FaultInjector>,
     assess_model: AssessModel,
     end_time: Cycles,
+    /// Registry the run's final counts are published into.
+    obs: ObsHandle,
 }
 
 impl<'a> CheetahProfiler<'a> {
@@ -69,22 +72,62 @@ impl<'a> CheetahProfiler<'a> {
     /// Panics if `config` is invalid (zero sampling period, bad line size,
     /// out-of-range fault plan).
     pub fn new(config: CheetahConfig, space: &'a AddressSpace) -> Self {
-        let faults = config
-            .faults
-            .map(|plan| match FaultInjector::with_obs(plan, &config.obs) {
-                Ok(injector) => injector,
-                Err(error) => panic!("{error}"),
-            });
+        let faults = config.faults.map(|plan| match FaultInjector::new(plan) {
+            Ok(injector) => injector,
+            Err(error) => panic!("{error}"),
+        });
         CheetahProfiler {
             space,
-            engine: SamplingEngine::with_obs(config.sampler, &config.obs),
+            engine: SamplingEngine::new(config.sampler),
             phases: PhaseTracker::new(),
             threads: ThreadRegistry::new(),
-            detector: Detector::with_obs(config.detector, &config.obs),
+            detector: Detector::new(config.detector),
             faults,
             assess_model: config.assess_model,
             end_time: 0,
+            obs: config.obs,
         }
+    }
+
+    /// Adds the run's final sampling, ingest and fault counts to the
+    /// configured registry. Called once, when the main thread exits.
+    fn publish(&self) {
+        let stats = self.detector.ingest_stats();
+        let mut counters = vec![
+            (engine::OBS_SAMPLES_DELIVERED, self.engine.total_samples()),
+            (engine::OBS_SAMPLES_DROPPED, self.engine.total_dropped()),
+            (
+                detector::OBS_SAMPLES_INGESTED,
+                self.detector.total_samples(),
+            ),
+            (
+                detector::OBS_SAMPLES_PREFILTERED,
+                self.detector.prefiltered_samples(),
+            ),
+            (detector::OBS_SAMPLES_QUARANTINED, stats.quarantined.total()),
+            (detector::OBS_LINES_EVICTED, stats.line_evictions),
+            (detector::OBS_LINES_REPROMOTED, stats.line_repromotions),
+            (detector::OBS_LINES_DENIED, stats.line_denials),
+            (detector::OBS_OBJECTS_EVICTED, stats.object_evictions),
+        ];
+        if let Some(injector) = &self.faults {
+            let counts = injector.counts();
+            counters.extend([
+                (faults::OBS_FAULTS_INJECTED, counts.injected()),
+                (faults::OBS_FAULTS_DROPPED, counts.dropped),
+                (faults::OBS_FAULTS_BURST_DROPPED, counts.burst_dropped),
+                (faults::OBS_FAULTS_REORDERED, counts.reordered),
+                (faults::OBS_FAULTS_DUPLICATED, counts.duplicated),
+                (faults::OBS_FAULTS_CORRUPTED, counts.corrupted()),
+                (faults::OBS_FAULTS_TRUNCATED, counts.truncated),
+            ]);
+        }
+        for (name, value) in counters {
+            self.obs.counter(name).add(value);
+        }
+        let (objects, lines) = self.detector.table_sizes();
+        self.obs.gauge(detector::OBS_OBJECT_TABLE).set(objects);
+        self.obs.gauge(detector::OBS_LINE_TABLE).set(lines);
     }
 
     /// Delivers one (possibly fault-perturbed) sample: detector first —
@@ -194,8 +237,10 @@ impl ExecObserver for CheetahProfiler<'_> {
         if thread.is_main() {
             self.end_time = now;
             // The main thread's exit ends the run: drain the fault plan's
-            // reorder buffer so parked samples still reach the detector.
+            // reorder buffer so parked samples still reach the detector,
+            // then publish the final counts.
             self.flush_faults();
+            self.publish();
         } else {
             self.phases.on_thread_exited(thread, now);
         }
@@ -635,6 +680,96 @@ mod tests {
         let four = faulted_profile(config(), 4);
         assert_eq!(one.render_report(), four.render_report());
         assert_eq!(one.fault_counts, four.fault_counts);
+    }
+
+    #[test]
+    fn published_counts_equal_the_profile_tallies() {
+        // Two contended lines plus a thread-private 4 KiB block per worker:
+        // the private blocks are pre-filtered, the contended lines compete
+        // for a one-line detail table, and the fault plan drops, corrupts,
+        // duplicates and reorders the stream.
+        let mut space = AddressSpace::new();
+        let shared = space
+            .heap_mut()
+            .alloc(ThreadId(0), 128, CallStack::single("pub.c", 1))
+            .unwrap();
+        let private: Vec<cheetah_sim::Addr> = (0..2)
+            .map(|_| {
+                space
+                    .heap_mut()
+                    .alloc(ThreadId(0), 4096, CallStack::single("pub.c", 2))
+                    .unwrap()
+            })
+            .collect();
+        let program = ProgramBuilder::new("publish")
+            .parallel(
+                (0..2u64)
+                    .map(|t| {
+                        let mut ops = vec![Op::Write(shared.offset(t * 4))];
+                        ops.extend((0..64).map(|i| Op::Write(private[t as usize].offset(i * 64))));
+                        ops.push(Op::Write(shared.offset(64 + t * 4)));
+                        ThreadSpec::new(format!("w{t}"), LoopStream::new(ops, 2_000))
+                    })
+                    .collect(),
+            )
+            .build();
+        let line = |addr: cheetah_sim::Addr| addr.line(64).0;
+        let prefilter = crate::LinePrefilter::from_ranges(
+            private
+                .iter()
+                .map(|&base| (line(base), line(base.offset(4096))))
+                .collect(),
+        );
+        let plan = cheetah_pmu::FaultPlan {
+            drop_per_mille: 100,
+            reorder_window: 4,
+            duplicate_per_mille: 20,
+            corrupt_per_mille: 50,
+            corrupt_fields: cheetah_pmu::CorruptFields::all(),
+            ..cheetah_pmu::FaultPlan::none()
+        };
+        let obs = cheetah_obs::ObsHandle::fresh_untraced();
+        let config = CheetahConfig::with_period(97)
+            .with_obs(obs.clone())
+            .with_faults(plan)
+            .with_line_capacity(1)
+            .with_prefilter(prefilter);
+        let mut profiler = CheetahProfiler::new(config, &space);
+        Machine::new(MachineConfig::with_cores(8)).run(program, &mut profiler);
+        let prefiltered = profiler.detector().prefiltered_samples();
+        let ingested = profiler.detector().total_samples();
+        let objects = profiler.detector().objects().count() as u64;
+        let profile = profiler.finish();
+
+        let counter = |name| obs.counter(name).get();
+        let ingest = profile.ingest;
+        let faults = profile.fault_counts.expect("injector installed");
+        assert!(prefiltered > 0 && ingest.line_evictions > 0 && faults.corrupted() > 0);
+        assert!(ingest.quarantined.total() > 0 && faults.reordered > 0);
+        let expected = [
+            (engine::OBS_SAMPLES_DELIVERED, profile.total_samples),
+            (detector::OBS_SAMPLES_INGESTED, ingested),
+            (detector::OBS_SAMPLES_PREFILTERED, prefiltered),
+            (
+                detector::OBS_SAMPLES_QUARANTINED,
+                ingest.quarantined.total(),
+            ),
+            (detector::OBS_LINES_EVICTED, ingest.line_evictions),
+            (detector::OBS_LINES_REPROMOTED, ingest.line_repromotions),
+            (detector::OBS_LINES_DENIED, ingest.line_denials),
+            (detector::OBS_OBJECTS_EVICTED, ingest.object_evictions),
+            (faults::OBS_FAULTS_INJECTED, faults.injected()),
+            (faults::OBS_FAULTS_DROPPED, faults.dropped),
+            (faults::OBS_FAULTS_BURST_DROPPED, faults.burst_dropped),
+            (faults::OBS_FAULTS_REORDERED, faults.reordered),
+            (faults::OBS_FAULTS_DUPLICATED, faults.duplicated),
+            (faults::OBS_FAULTS_CORRUPTED, faults.corrupted()),
+            (faults::OBS_FAULTS_TRUNCATED, faults.truncated),
+        ];
+        for (name, value) in expected {
+            assert_eq!(counter(name), value, "{name}");
+        }
+        assert_eq!(obs.gauge(detector::OBS_OBJECT_TABLE).get(), objects);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * **Scoped spans** ([`SpanGuard`]) — RAII wall-clock intervals with
 //!   typed attributes, recorded when the guard drops. Spans are only
 //!   stored when the registry was created with tracing enabled
-//!   ([`ObsHandle::fresh`]); on the global default registry they are
-//!   no-ops so long-lived processes never accumulate unbounded buffers.
+//!   ([`ObsHandle::fresh`]); on an untraced registry (the default) they
+//!   are no-ops so long-lived processes never accumulate unbounded buffers.
 //!
 //! Handles are distributed through an [`ObsHandle`], a cheap `Arc` wrapper
 //! that is deliberately transparent to configuration equality: two handles
@@ -38,7 +38,7 @@ pub use fnv::Fnv64;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A monotonically increasing event count.
@@ -58,12 +58,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Resets the counter to zero (bench / test support; counters are
-    /// otherwise monotonic).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -250,10 +244,10 @@ struct Inner {
 
 /// A per-run telemetry registry: named metrics plus a span buffer.
 ///
-/// Constructed through [`ObsHandle::fresh`] (tracing on) or reached via
-/// [`ObsHandle::global`] (process-wide default, tracing off). All access
-/// goes through [`ObsHandle`]; the registry itself is not instantiated
-/// directly.
+/// Constructed through [`ObsHandle::fresh`] (tracing on) or
+/// [`ObsHandle::fresh_untraced`] (tracing off, also the `Default`). All
+/// access goes through [`ObsHandle`]; the registry itself is not
+/// instantiated directly.
 pub struct ObsRegistry {
     epoch: Instant,
     tracing: bool,
@@ -271,9 +265,10 @@ impl std::fmt::Debug for ObsRegistry {
 /// Cheap, clonable reference to an [`ObsRegistry`].
 ///
 /// `ObsHandle` implements `PartialEq`/`Eq` as *always equal* and hashes to
-/// nothing: observability is transparent to configuration identity, so a
-/// `MachineConfig` carrying a scoped registry still compares equal to one
-/// carrying the global default. `Default` yields the global handle.
+/// nothing: observability is transparent to configuration identity, so
+/// two `MachineConfig`s carrying different registries still compare equal.
+/// `Default` yields a private, untraced registry: there is no shared
+/// process-wide one.
 #[derive(Clone)]
 pub struct ObsHandle {
     reg: Arc<ObsRegistry>,
@@ -283,10 +278,6 @@ impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsHandle")
             .field("tracing", &self.reg.tracing)
-            .field(
-                "global",
-                &GLOBAL.get().is_some_and(|g| Arc::ptr_eq(&g.reg, &self.reg)),
-            )
             .finish()
     }
 }
@@ -301,11 +292,9 @@ impl Eq for ObsHandle {}
 
 impl Default for ObsHandle {
     fn default() -> Self {
-        ObsHandle::global()
+        ObsHandle::fresh_untraced()
     }
 }
-
-static GLOBAL: OnceLock<ObsHandle> = OnceLock::new();
 
 impl ObsHandle {
     fn with_tracing(tracing: bool) -> Self {
@@ -325,27 +314,9 @@ impl ObsHandle {
 
     /// Creates a fresh, independent registry with span tracing disabled:
     /// counters, gauges and histograms work normally, spans are no-ops.
-    /// The right choice for benchmark harnesses that want isolated counts
-    /// without buffering spans they will never export.
+    /// This is also what `ObsHandle::default()` returns.
     pub fn fresh_untraced() -> Self {
         ObsHandle::with_tracing(false)
-    }
-
-    /// The process-wide default registry.
-    ///
-    /// Counters, gauges and histograms work normally (this is what backs
-    /// the legacy `cheetah_sim::metrics::snapshot()` API); span tracing is
-    /// disabled so code that never opts into a scoped registry cannot
-    /// accumulate an unbounded span buffer.
-    pub fn global() -> Self {
-        GLOBAL
-            .get_or_init(|| ObsHandle::with_tracing(false))
-            .clone()
-    }
-
-    /// Whether this handle refers to the process-wide default registry.
-    pub fn is_global(&self) -> bool {
-        GLOBAL.get().is_some_and(|g| Arc::ptr_eq(&g.reg, &self.reg))
     }
 
     /// Whether spans recorded through this handle are stored.
@@ -533,13 +504,13 @@ mod tests {
         assert_eq!(spans[0].name, "work");
         assert_eq!(spans[0].attr_u64("n"), Some(42));
 
-        let global = ObsHandle::global();
-        assert!(!global.tracing_enabled());
+        let untraced = ObsHandle::default();
+        assert!(!untraced.tracing_enabled());
         {
-            let mut span = global.span("work", 0);
+            let mut span = untraced.span("work", 0);
             span.attr_u64("n", 1);
         }
-        assert!(global.spans().is_empty());
+        assert!(untraced.spans().is_empty());
     }
 
     #[test]

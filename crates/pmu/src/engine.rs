@@ -9,17 +9,15 @@
 
 use crate::config::{ConfigError, SamplerConfig};
 use crate::sample::Sample;
-use cheetah_obs::{Counter, Histogram, ObsHandle};
 use cheetah_sim::util::FastMap;
 use cheetah_sim::{AccessRecord, Cycles, SampleJudgement, ThreadId, ThreadSampler};
 
-/// Counter name for samples the engine delivered with an address.
+/// Counter name for samples the engine delivered with an address
+/// ([`SamplingEngine::total_samples`]).
 pub const OBS_SAMPLES_DELIVERED: &str = "pmu.samples_delivered";
 /// Counter name for tags that landed on non-memory instructions and were
-/// dropped by the handler.
+/// dropped by the handler ([`SamplingEngine::total_dropped`]).
 pub const OBS_SAMPLES_DROPPED: &str = "pmu.samples_dropped";
-/// Histogram name for delivered samples' access latencies (cycles).
-pub const OBS_SAMPLE_LATENCY: &str = "pmu.sample_latency";
 
 #[derive(Debug)]
 struct ThreadSampling {
@@ -47,9 +45,6 @@ pub struct SamplingEngine {
     total_dropped: u64,
     total_trap_cycles: Cycles,
     total_setup_cycles: Cycles,
-    obs_delivered: Counter,
-    obs_dropped: Counter,
-    obs_latency: Histogram,
 }
 
 impl SamplingEngine {
@@ -69,25 +64,6 @@ impl SamplingEngine {
     ///
     /// [`ConfigError`] if the configuration is invalid (zero period).
     pub fn try_new(config: SamplerConfig) -> Result<Self, ConfigError> {
-        SamplingEngine::try_new_with_obs(config, &ObsHandle::global())
-    }
-
-    /// Creates an engine reporting delivery counts and sample-latency
-    /// summaries into `obs` instead of the global registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (zero period).
-    pub fn with_obs(config: SamplerConfig, obs: &ObsHandle) -> Self {
-        SamplingEngine::try_new_with_obs(config, obs).expect("invalid sampler config")
-    }
-
-    /// Fallible variant of [`SamplingEngine::with_obs`].
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if the configuration is invalid (zero period).
-    pub fn try_new_with_obs(config: SamplerConfig, obs: &ObsHandle) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(SamplingEngine {
             config,
@@ -96,9 +72,6 @@ impl SamplingEngine {
             total_dropped: 0,
             total_trap_cycles: 0,
             total_setup_cycles: 0,
-            obs_delivered: obs.counter(OBS_SAMPLES_DELIVERED),
-            obs_dropped: obs.counter(OBS_SAMPLES_DROPPED),
-            obs_latency: obs.histogram(OBS_SAMPLE_LATENCY),
         })
     }
 
@@ -204,7 +177,6 @@ impl SamplingEngine {
         while state.next_at < index {
             perturbation += self.config.trap_cost;
             self.total_dropped += 1;
-            self.obs_dropped.add(1);
             let step = Self::interval(&self.config, &mut state.rng);
             state.next_at += step;
         }
@@ -214,8 +186,6 @@ impl SamplingEngine {
             let step = Self::interval(&self.config, &mut state.rng);
             state.next_at += step;
             self.total_samples += 1;
-            self.obs_delivered.add(1);
-            self.obs_latency.record(record.latency);
             perturbation += self.config.trap_cost;
         }
         self.total_trap_cycles += perturbation;

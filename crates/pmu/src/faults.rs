@@ -13,12 +13,11 @@
 //! source and its sink. Every decision is drawn from one xorshift stream
 //! seeded by [`FaultPlan::seed`], so a faulted run is a pure function of
 //! `(plan, input stream)`: run it twice and the delivered stream is
-//! bit-identical. Injected faults are counted per kind ([`FaultCounts`])
-//! and surfaced through `obs` counters (`pmu.faults_*`).
+//! bit-identical. Injected faults are counted per kind ([`FaultCounts`]);
+//! the profiler publishes the final tallies as `pmu.faults_*` counters.
 
 use crate::config::ConfigError;
 use crate::sample::Sample;
-use cheetah_obs::{Counter, ObsHandle};
 use cheetah_sim::{Addr, ThreadId};
 
 /// Counter name for the total faults injected (all kinds).
@@ -269,13 +268,6 @@ pub struct FaultInjector {
     /// each (the lateness bound's bookkeeping).
     window: Vec<(Sample, usize)>,
     counts: FaultCounts,
-    obs_injected: Counter,
-    obs_dropped: Counter,
-    obs_burst_dropped: Counter,
-    obs_reordered: Counter,
-    obs_duplicated: Counter,
-    obs_corrupted: Counter,
-    obs_truncated: Counter,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -290,35 +282,18 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
-    /// Creates an injector for `plan`, reporting into the global `obs`
-    /// registry.
+    /// Creates an injector for `plan`.
     ///
     /// # Errors
     ///
     /// [`ConfigError`] if the plan is invalid (see [`FaultPlan::validate`]).
     pub fn new(plan: FaultPlan) -> Result<Self, ConfigError> {
-        FaultInjector::with_obs(plan, &ObsHandle::global())
-    }
-
-    /// Creates an injector reporting per-kind fault counters into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if the plan is invalid (see [`FaultPlan::validate`]).
-    pub fn with_obs(plan: FaultPlan, obs: &ObsHandle) -> Result<Self, ConfigError> {
         plan.validate()?;
         Ok(FaultInjector {
             rng: Self::scramble(plan.seed),
             seen: 0,
             window: Vec::with_capacity(plan.reorder_window.saturating_add(1)),
             counts: FaultCounts::default(),
-            obs_injected: obs.counter(OBS_FAULTS_INJECTED),
-            obs_dropped: obs.counter(OBS_FAULTS_DROPPED),
-            obs_burst_dropped: obs.counter(OBS_FAULTS_BURST_DROPPED),
-            obs_reordered: obs.counter(OBS_FAULTS_REORDERED),
-            obs_duplicated: obs.counter(OBS_FAULTS_DUPLICATED),
-            obs_corrupted: obs.counter(OBS_FAULTS_CORRUPTED),
-            obs_truncated: obs.counter(OBS_FAULTS_TRUNCATED),
             plan,
         })
     }
@@ -370,8 +345,6 @@ impl FaultInjector {
         if let Some(limit) = self.plan.truncate_after {
             if self.seen > limit {
                 self.counts.truncated += 1;
-                self.obs_truncated.add(1);
-                self.obs_injected.add(1);
                 return;
             }
         }
@@ -379,14 +352,10 @@ impl FaultInjector {
             && (self.seen - 1) % self.plan.burst_every < self.plan.burst_len
         {
             self.counts.burst_dropped += 1;
-            self.obs_burst_dropped.add(1);
-            self.obs_injected.add(1);
             return;
         }
         if self.plan.drop_per_mille > 0 && self.draw_per_mille() < self.plan.drop_per_mille {
             self.counts.dropped += 1;
-            self.obs_dropped.add(1);
-            self.obs_injected.add(1);
             return;
         }
         let mut sample = sample;
@@ -404,8 +373,6 @@ impl FaultInjector {
         self.emit(sample, deliver);
         if duplicated {
             self.counts.duplicated += 1;
-            self.obs_duplicated.add(1);
-            self.obs_injected.add(1);
             self.emit(sample, deliver);
         }
     }
@@ -427,8 +394,6 @@ impl FaultInjector {
     fn corrupt(&mut self, sample: &mut Sample) {
         let eligible = self.plan.corrupt_fields;
         let mut pick = self.next_u64() % u64::from(eligible.count());
-        self.obs_corrupted.add(1);
-        self.obs_injected.add(1);
         if eligible.addr {
             if pick == 0 {
                 sample.addr = Addr((1 << 63) | (self.next_u64() & 0xFFFF_FFFF_F000));
@@ -487,8 +452,6 @@ impl FaultInjector {
         };
         if index != 0 {
             self.counts.reordered += 1;
-            self.obs_reordered.add(1);
-            self.obs_injected.add(1);
             for (_, passed) in &mut self.window[..index] {
                 *passed += 1;
             }
@@ -681,24 +644,5 @@ mod tests {
             ConfigError::BurstSwallowsStream
         );
         assert!(FaultInjector::new(FaultPlan::drops(1001)).is_err());
-    }
-
-    #[test]
-    fn obs_counters_mirror_the_tallies() {
-        let obs = ObsHandle::fresh();
-        let plan = FaultPlan {
-            drop_per_mille: 300,
-            duplicate_per_mille: 100,
-            seed: 17,
-            ..FaultPlan::none()
-        };
-        let mut injector = FaultInjector::with_obs(plan, &obs).unwrap();
-        for i in 0..3_000 {
-            injector.push(sample(i), &mut |_| {});
-        }
-        let counts = *injector.counts();
-        assert_eq!(obs.counter(OBS_FAULTS_DROPPED).get(), counts.dropped);
-        assert_eq!(obs.counter(OBS_FAULTS_DUPLICATED).get(), counts.duplicated);
-        assert_eq!(obs.counter(OBS_FAULTS_INJECTED).get(), counts.injected());
     }
 }

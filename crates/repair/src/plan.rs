@@ -18,30 +18,11 @@
 //!   object, so the contention is with a *neighbouring* allocation:
 //!   relocate the object to exclusive, padded lines.
 
-use cheetah_core::{ObjectKey, SharingInstance, SharingKind};
+use cheetah_core::{layout_strategy, ObjectKey, SharingInstance, SharingKind};
 use cheetah_sim::{Addr, ThreadId, WORD_BYTES};
 use std::fmt;
 
-/// Which layout transformation a plan applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairStrategy {
-    /// Relocate the whole object to a cache-line-aligned base.
-    AlignToLine,
-    /// Relocate the whole object to exclusive, line-aligned, padded lines.
-    PadToLine,
-    /// Relocate each thread's word cluster to its own line-aligned block.
-    SplitPerThread,
-}
-
-impl fmt::Display for RepairStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RepairStrategy::AlignToLine => f.write_str("align-to-line"),
-            RepairStrategy::PadToLine => f.write_str("pad-to-line"),
-            RepairStrategy::SplitPerThread => f.write_str("split-per-thread"),
-        }
-    }
-}
+pub use cheetah_core::RepairStrategy;
 
 /// The words of one object owned by one *ownership signature*: the set of
 /// threads that touch them, at most one per parallel phase.
@@ -160,28 +141,6 @@ pub(crate) fn spans_disjoint(clusters: &[ThreadCluster]) -> bool {
     spans.windows(2).all(|pair| pair[0].1 <= pair[1].0)
 }
 
-/// Whether relocating the object to a line-aligned base would already put
-/// every cluster's words on lines no other cluster touches.
-fn alignment_separates(clusters: &[ThreadCluster], line_size: u64) -> bool {
-    // Per-line map on the repair planner's hot path (consulted for every
-    // candidate plan each converge iteration): the vendored FxHash-style
-    // hasher, not the default SipHash — only membership and ownership are
-    // queried, never iteration order.
-    let mut line_owner: cheetah_sim::util::FastMap<u64, usize> = Default::default();
-    for (index, cluster) in clusters.iter().enumerate() {
-        for &offset in &cluster.word_offsets {
-            let line = offset / line_size;
-            match line_owner.get(&line) {
-                Some(&owner) if owner != index => return false,
-                _ => {
-                    line_owner.insert(line, index);
-                }
-            }
-        }
-    }
-    true
-}
-
 /// Derives the label shown in validation tables from the instance origin.
 fn label_of(instance: &SharingInstance) -> String {
     match &instance.object.origin {
@@ -241,17 +200,15 @@ pub fn synthesize(instance: &SharingInstance, line_size: u64) -> Option<RepairPl
     for cluster in &mut clusters {
         cluster.word_offsets.sort_unstable();
     }
-    if clusters.is_empty() {
-        return None;
-    }
-
-    let strategy = if clusters.len() == 1 {
-        RepairStrategy::PadToLine
-    } else if alignment_separates(&clusters, line_size) {
-        RepairStrategy::AlignToLine
-    } else {
-        RepairStrategy::SplitPerThread
-    };
+    let strategy = layout_strategy(
+        clusters.iter().map(|cluster| {
+            cluster
+                .word_offsets
+                .iter()
+                .map(|&offset| (offset, offset + WORD_BYTES))
+        }),
+        line_size,
+    )?;
 
     Some(RepairPlan {
         key: instance.key,

@@ -48,8 +48,9 @@ pub struct MachineConfig {
     pub shards: u32,
     /// Telemetry registry the run reports into: execution counters
     /// ([`crate::metrics`]), per-phase spans and, when [`witness`] is set,
-    /// determinism state hashes. Defaults to the process-wide global
-    /// registry (span tracing disabled); transparent to config equality.
+    /// determinism state hashes. Defaults to a private, untraced registry
+    /// per configuration (clones share it); transparent to config
+    /// equality.
     ///
     /// [`witness`]: MachineConfig::witness
     pub obs: ObsHandle,
@@ -88,7 +89,7 @@ impl Default for MachineConfig {
             latency: LatencyModel::default(),
             thread_spawn_cost: 3_000,
             shards: 1,
-            obs: ObsHandle::global(),
+            obs: ObsHandle::default(),
             witness: false,
             audit_footprints: false,
             schedule: SchedulePolicy::Observed,

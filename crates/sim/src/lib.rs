@@ -69,7 +69,6 @@ pub use exec::{ConfigError, Machine, MachineConfig, OBS_LANE_ENGINE};
 pub use footprint::{ByteExtent, Footprint, FootprintBuilder};
 pub use latency::{AccessOutcome, LatencyModel};
 pub use layout::{LayoutError, LayoutMap, Remapping};
-pub use metrics::ExecMetrics;
 pub use observer::{
     AccessRecord, CountingObserver, ExecObserver, NullObserver, SampleJudgement, SamplerFork,
     ThreadSampler,

@@ -3,27 +3,34 @@
 //! The sharded executor's value proposition is that the single-threaded
 //! merge replays only *order-dependent* events, with everything else
 //! batch-folded in the parallel precompute passes. These counters make
-//! that claim measurable: `sim_throughput` snapshots them around each run
-//! and emits merged/folded/surfaced counts next to wall-clock, and the CI
-//! gate fails if a streaming workload starts replaying per-line again.
+//! that claim measurable: `sim_throughput` reads them after each run and
+//! emits merged/folded/surfaced counts next to wall-clock, and the CI gate
+//! fails if a streaming workload starts replaying per-line again.
 //!
-//! Since the `cheetah-obs` integration the counters live in an
-//! [`ObsRegistry`](cheetah_obs::ObsRegistry) — by default the process-wide
-//! global one, preserving the historical `snapshot()`/`reset()` behaviour,
-//! but a run that carries its own registry in
-//! [`MachineConfig::obs`](crate::MachineConfig) gets fully independent
-//! counts (read them with [`snapshot_of`]). Counters stay deliberately
-//! **outside** [`crate::RunReport`]: reports are bit-identical across
-//! shard counts, while these counts describe the execution *strategy* and
-//! legitimately differ between the classic loop and sharded runs.
+//! The counters live in the run's registry,
+//! [`MachineConfig::obs`](crate::MachineConfig): read one with
+//! `obs.counter(MERGED_EVENTS).get()`, or all with `obs.counters()`. Each
+//! configuration gets its own registry unless the caller shares one, so
+//! the counts are scoped to the runs that used it. Counters stay
+//! deliberately **outside** [`crate::RunReport`]: reports are
+//! bit-identical across shard counts, while these counts describe the
+//! execution *strategy* and legitimately differ between the classic loop
+//! and sharded runs.
 
 use cheetah_obs::{Counter, ObsHandle};
 
-/// Counter name for individually merge-ordered events.
+/// Counter name for events processed *individually* in global order:
+/// every classic-loop access, and in sharded runs each directory event,
+/// each walked hit-run read, each heap pop and each surfaced access the
+/// merge replays one by one.
 pub const MERGED_EVENTS: &str = "sim.merged_events";
-/// Counter name for batch-folded accesses.
+/// Counter name for accesses folded in batches without individual
+/// global-order processing: precomputed private accesses absorbed into
+/// event leads and settled hit-run reads folded in O(1) per run.
 pub const FOLDED_EVENTS: &str = "sim.folded_events";
-/// Counter name for observer-surfaced accesses.
+/// Counter name for accesses surfaced to the observer (sample delivery
+/// and every-access observers); in sharded runs a subset of
+/// [`MERGED_EVENTS`].
 pub const SURFACED_EVENTS: &str = "sim.surfaced_events";
 /// Counter name for sharded classify-pass wall nanoseconds.
 pub const CLASSIFY_NS: &str = "sim.classify_ns";
@@ -47,96 +54,6 @@ pub const SCHED_SELECTIONS: &str = "sched.selections";
 /// ready event. `reordered / selections` measures how far a seed strays
 /// from the observed interleaving.
 pub const SCHED_REORDERED: &str = "sched.reordered_events";
-
-/// Counter snapshot; see [`snapshot`] for field meanings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecMetrics {
-    /// Events processed *individually* in global order: every classic-loop
-    /// access, and in sharded runs each directory event, each walked
-    /// hit-run read, each heap pop and each surfaced access the merge
-    /// replays one by one.
-    pub merged_events: u64,
-    /// Accesses folded in batches without individual global-order
-    /// processing: precomputed private accesses absorbed into event leads
-    /// and settled hit-run reads folded in O(1) per run.
-    pub folded_events: u64,
-    /// Accesses surfaced to the observer (sample delivery and
-    /// every-access observers); a subset of the work counted in
-    /// `merged_events` for sharded runs.
-    pub surfaced_events: u64,
-    /// Wall-clock nanoseconds spent in sharded phases' footprint /
-    /// materialisation / classification pass.
-    pub classify_ns: u64,
-    /// Wall-clock nanoseconds spent in sharded phases' parallel
-    /// precompute-and-fold pass.
-    pub precompute_ns: u64,
-    /// Wall-clock nanoseconds spent in sharded phases' deterministic merge.
-    pub merge_ns: u64,
-    /// Accesses that violated their stream's declared footprint contract
-    /// during sharded classification (see [`FOOTPRINT_VIOLATIONS`]).
-    pub footprint_violations: u64,
-    /// Residue events ordered by a perturbed schedule policy (see
-    /// [`SCHED_SELECTIONS`]).
-    pub sched_selections: u64,
-    /// Residue events a perturbed schedule moved off the observed order
-    /// (see [`SCHED_REORDERED`]).
-    pub sched_reordered: u64,
-}
-
-impl ExecMetrics {
-    /// Element-wise difference against an earlier snapshot.
-    pub fn since(&self, earlier: &ExecMetrics) -> ExecMetrics {
-        ExecMetrics {
-            merged_events: self.merged_events - earlier.merged_events,
-            folded_events: self.folded_events - earlier.folded_events,
-            surfaced_events: self.surfaced_events - earlier.surfaced_events,
-            classify_ns: self.classify_ns - earlier.classify_ns,
-            precompute_ns: self.precompute_ns - earlier.precompute_ns,
-            merge_ns: self.merge_ns - earlier.merge_ns,
-            footprint_violations: self.footprint_violations - earlier.footprint_violations,
-            sched_selections: self.sched_selections - earlier.sched_selections,
-            sched_reordered: self.sched_reordered - earlier.sched_reordered,
-        }
-    }
-}
-
-/// Reads the current counter values from `obs`'s registry.
-pub fn snapshot_of(obs: &ObsHandle) -> ExecMetrics {
-    ExecMetrics {
-        merged_events: obs.counter(MERGED_EVENTS).get(),
-        folded_events: obs.counter(FOLDED_EVENTS).get(),
-        surfaced_events: obs.counter(SURFACED_EVENTS).get(),
-        classify_ns: obs.counter(CLASSIFY_NS).get(),
-        precompute_ns: obs.counter(PRECOMPUTE_NS).get(),
-        merge_ns: obs.counter(MERGE_NS).get(),
-        footprint_violations: obs.counter(FOOTPRINT_VIOLATIONS).get(),
-        sched_selections: obs.counter(SCHED_SELECTIONS).get(),
-        sched_reordered: obs.counter(SCHED_REORDERED).get(),
-    }
-}
-
-/// Reads the current counter values from the global registry.
-pub fn snapshot() -> ExecMetrics {
-    snapshot_of(&ObsHandle::global())
-}
-
-/// Resets the global registry's counters to zero.
-pub fn reset() {
-    let obs = ObsHandle::global();
-    for name in [
-        MERGED_EVENTS,
-        FOLDED_EVENTS,
-        SURFACED_EVENTS,
-        CLASSIFY_NS,
-        PRECOMPUTE_NS,
-        MERGE_NS,
-        FOOTPRINT_VIOLATIONS,
-        SCHED_SELECTIONS,
-        SCHED_REORDERED,
-    ] {
-        obs.counter(name).reset();
-    }
-}
 
 /// Pre-resolved counter handles for one run's registry: the execution
 /// paths look the handles up once per run/phase instead of taking the
@@ -212,41 +129,5 @@ impl SimCounters {
     /// auditor's per-stream wrappers.
     pub(crate) fn violations_handle(&self) -> Counter {
         self.violations.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn since_subtracts() {
-        let a = ExecMetrics {
-            merged_events: 10,
-            folded_events: 20,
-            surfaced_events: 5,
-            ..ExecMetrics::default()
-        };
-        let b = ExecMetrics {
-            merged_events: 4,
-            folded_events: 8,
-            surfaced_events: 1,
-            ..ExecMetrics::default()
-        };
-        assert_eq!(b.since(&b), ExecMetrics::default());
-        let d = a.since(&b);
-        assert_eq!(
-            (d.merged_events, d.folded_events, d.surfaced_events),
-            (6, 12, 4)
-        );
-    }
-
-    #[test]
-    fn scoped_snapshot_is_independent_of_global() {
-        let scoped = ObsHandle::fresh();
-        SimCounters::of(&scoped).count_merged(17);
-        assert_eq!(snapshot_of(&scoped).merged_events, 17);
-        // A second fresh registry sees none of it.
-        assert_eq!(snapshot_of(&ObsHandle::fresh()), ExecMetrics::default());
     }
 }

@@ -10,6 +10,7 @@
 //!   extents, counting into the same metric (and aborting in debug
 //!   builds).
 
+use cheetah_sim::metrics::FOOTPRINT_VIOLATIONS;
 use cheetah_sim::observer::NullObserver;
 use cheetah_sim::{
     AccessStream, Addr, ByteExtent, Footprint, LoopStream, Machine, MachineConfig, ObsHandle, Op,
@@ -64,7 +65,7 @@ fn sharded_executor_counts_fallbacks_instead_of_panicking() {
     );
     let report = machine.run(liar_program(), &mut NullObserver);
     assert!(report.total_cycles > 0, "the run must complete");
-    let violations = cheetah_sim::metrics::snapshot_of(&obs).footprint_violations;
+    let violations = obs.counter(FOOTPRINT_VIOLATIONS).get();
     assert!(
         violations > 0,
         "under-declared accesses must be counted, got {violations}"
@@ -78,10 +79,7 @@ fn classic_loop_ignores_footprints_without_audit() {
     let obs = ObsHandle::fresh_untraced();
     let machine = Machine::new(MachineConfig::default().with_obs(obs.clone()));
     machine.run(liar_program(), &mut NullObserver);
-    assert_eq!(
-        cheetah_sim::metrics::snapshot_of(&obs).footprint_violations,
-        0
-    );
+    assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 0);
 }
 
 #[cfg(not(debug_assertions))]
@@ -94,7 +92,7 @@ fn audit_counts_byte_granular_violations_in_release() {
             .with_obs(obs.clone()),
     );
     machine.run(liar_program(), &mut NullObserver);
-    let violations = cheetah_sim::metrics::snapshot_of(&obs).footprint_violations;
+    let violations = obs.counter(FOOTPRINT_VIOLATIONS).get();
     assert_eq!(violations, 2, "exactly the two undeclared writes");
 }
 
@@ -132,8 +130,5 @@ fn audit_is_silent_on_honest_streams() {
         ])
         .build();
     machine.run(program, &mut NullObserver);
-    assert_eq!(
-        cheetah_sim::metrics::snapshot_of(&obs).footprint_violations,
-        0
-    );
+    assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 0);
 }

@@ -1,9 +1,10 @@
 //! Integration tests for the per-run observability registry
 //! ([`cheetah_obs::ObsHandle`] threaded through [`MachineConfig`]):
 //!
-//! (a) two simulators running *concurrently* with scoped registries record
-//!     fully independent event counts — the regression test for the
-//!     cross-contamination the old process-global `metrics` atomics showed
+//! (a) two simulators running *concurrently* record fully independent
+//!     event counts, whether each carries an explicit registry or the
+//!     private one `MachineConfig::default()` gives it — the regression
+//!     test for the cross-contamination a process-wide registry showed
 //!     under parallel `cargo test`;
 //! (b) the per-phase FNV state-hash witness (the determinism divergence
 //!     locator's probe) is bit-identical across shard counts {1, 2, 4}
@@ -17,9 +18,9 @@ use proptest::prelude::*;
 
 use cheetah_obs::ObsHandle;
 
-/// Runs `name` broken at the given shape against a scoped registry and
-/// returns the registry's merged-event count.
-fn merged_under(name: &str, threads: u32, scale: f64, shards: u32, obs: &ObsHandle) -> u64 {
+/// Runs `name` broken at the given shape, sharded, on a machine built
+/// from `config` and returns the merged-event count of its registry.
+fn merged_under(name: &str, threads: u32, scale: f64, config: MachineConfig) -> u64 {
     let app = find(name).expect("registered workload");
     let instance = app.build(&AppConfig {
         threads,
@@ -27,47 +28,40 @@ fn merged_under(name: &str, threads: u32, scale: f64, shards: u32, obs: &ObsHand
         fixed: false,
         seed: 1,
     });
-    let machine = Machine::new(
-        MachineConfig::with_cores(16)
-            .with_shards(shards)
-            .with_obs(obs.clone()),
-    );
+    let machine = Machine::new(config.with_shards(2));
     machine.run(instance.program, &mut NullObserver);
-    metrics::snapshot_of(obs).merged_events
+    machine.config().obs.counter(metrics::MERGED_EVENTS).get()
 }
 
 /// Two simulators running at the same time, each with its own registry:
-/// each registry's delta must equal the count the same run produces alone.
-/// With the old process-global atomics both threads' events landed in one
-/// pool and every `since()` delta was garbage under parallel test runs.
+/// each registry's count must equal the count the same run produces alone.
 #[test]
 fn concurrent_runs_have_independent_metrics() {
-    // Solo baselines, sequentially, each on a fresh registry.
-    let solo_small = merged_under("microbench", 4, 0.05, 2, &ObsHandle::fresh_untraced());
-    let solo_large = merged_under("inter_object", 8, 0.1, 2, &ObsHandle::fresh_untraced());
-    assert_ne!(
-        solo_small, solo_large,
-        "baselines must differ for the independence check to mean anything"
-    );
+    let explicit = || MachineConfig::with_cores(16).with_obs(ObsHandle::fresh_untraced());
+    for config in [explicit as fn() -> MachineConfig, MachineConfig::default] {
+        // Solo baselines, sequentially.
+        let solo_small = merged_under("microbench", 4, 0.05, config());
+        let solo_large = merged_under("inter_object", 8, 0.1, config());
+        assert_ne!(
+            solo_small, solo_large,
+            "baselines must differ for the independence check to mean anything"
+        );
 
-    // The same two runs concurrently, each on its own registry.
-    let small = std::thread::spawn(move || {
-        merged_under("microbench", 4, 0.05, 2, &ObsHandle::fresh_untraced())
-    });
-    let large = std::thread::spawn(move || {
-        merged_under("inter_object", 8, 0.1, 2, &ObsHandle::fresh_untraced())
-    });
-    let small = small.join().expect("small run");
-    let large = large.join().expect("large run");
+        // The same two runs concurrently.
+        let small = std::thread::spawn(move || merged_under("microbench", 4, 0.05, config()));
+        let large = std::thread::spawn(move || merged_under("inter_object", 8, 0.1, config()));
+        let small = small.join().expect("small run");
+        let large = large.join().expect("large run");
 
-    assert_eq!(
-        small, solo_small,
-        "concurrent neighbour leaked into small run's registry"
-    );
-    assert_eq!(
-        large, solo_large,
-        "concurrent neighbour leaked into large run's registry"
-    );
+        assert_eq!(
+            small, solo_small,
+            "concurrent neighbour leaked into small run's registry"
+        );
+        assert_eq!(
+            large, solo_large,
+            "concurrent neighbour leaked into large run's registry"
+        );
+    }
 }
 
 /// Runs `name` broken with the witness enabled and returns the per-phase

@@ -11,7 +11,7 @@
 //! (d) the contention the observed schedule of a staggered workload
 //!     hides is exposed by shuffled and contention-maximizing schedules.
 
-use cheetah_sim::metrics::snapshot_of;
+use cheetah_sim::metrics::{FOOTPRINT_VIOLATIONS, SCHED_SELECTIONS};
 use cheetah_sim::{
     AccessRecord, AccessStream, Addr, ByteExtent, Cycles, ExecObserver, Footprint, LoopStream,
     Machine, MachineConfig, ObsHandle, Op, OpsStream, ProgramBuilder, RunReport, SampleJudgement,
@@ -149,12 +149,12 @@ fn observed_policy_bit_identical_registry_wide() {
 }
 
 /// Runs one registry workload under `policy` with a fresh metrics
-/// registry, returning the report, the surfaced stream and the metrics.
+/// registry, returning the report, the surfaced stream and the registry.
 fn run_perturbed(
     app: &cheetah_workloads::App,
     policy: SchedulePolicy,
     shards: u32,
-) -> (RunReport, Vec<AccessRecord>, cheetah_sim::ExecMetrics) {
+) -> (RunReport, Vec<AccessRecord>, ObsHandle) {
     let obs = ObsHandle::fresh();
     let machine = Machine::new(
         MachineConfig::default()
@@ -164,7 +164,7 @@ fn run_perturbed(
     );
     let mut recorder = Recorder::default();
     let report = machine.run(app.build(&app_config()).program, &mut recorder);
-    (report, recorder.records, snapshot_of(&obs))
+    (report, recorder.records, obs)
 }
 
 /// (b) Perturbed schedules preserve per-worker program order (per-thread
@@ -174,12 +174,12 @@ fn run_perturbed(
 #[test]
 fn perturbed_schedules_respect_program_order_and_footprints() {
     for app in APPS {
-        let (_, _, observed_metrics) = run_perturbed(app, SchedulePolicy::Observed, 1);
+        let (_, _, observed_obs) = run_perturbed(app, SchedulePolicy::Observed, 1);
         for policy in [
             SchedulePolicy::SeededShuffle { seed: 3 },
             SchedulePolicy::ContentionMax { seed: 3 },
         ] {
-            let (report, records, metrics) = run_perturbed(app, policy, 1);
+            let (report, records, obs) = run_perturbed(app, policy, 1);
             assert!(report.total_cycles > 0);
             let mut last_seen: std::collections::HashMap<ThreadId, u64> =
                 std::collections::HashMap::new();
@@ -197,13 +197,13 @@ fn perturbed_schedules_respect_program_order_and_footprints() {
                 last_seen.insert(record.thread, record.instrs_before);
             }
             assert_eq!(
-                metrics.footprint_violations,
-                observed_metrics.footprint_violations,
+                obs.counter(FOOTPRINT_VIOLATIONS).get(),
+                observed_obs.counter(FOOTPRINT_VIOLATIONS).get(),
                 "{} under {policy}: footprint violations moved",
                 app.name()
             );
             assert!(
-                metrics.sched_selections > 0,
+                obs.counter(SCHED_SELECTIONS).get() > 0,
                 "{} under {policy}: no selections counted",
                 app.name()
             );
@@ -291,7 +291,7 @@ fn footprint_violations_unchanged_by_perturbation() {
                 .with_obs(obs.clone()),
         );
         machine.run(build(), &mut cheetah_sim::NullObserver);
-        snapshot_of(&obs).footprint_violations
+        obs.counter(FOOTPRINT_VIOLATIONS).get()
     };
     let observed = violations_under(SchedulePolicy::Observed);
     assert!(observed > 0, "the lying stream must trip the contract");

@@ -36,7 +36,7 @@ fn main() {
     let obs = if trace_path.is_some() {
         ObsHandle::fresh()
     } else {
-        ObsHandle::global()
+        ObsHandle::fresh_untraced()
     };
     let cases = [
         ("microbench", 8u32, 0.05, 256u64, 8u32),
