@@ -110,8 +110,8 @@ fn span_jsonl(span: &SpanRecord) -> String {
 }
 
 /// Renders the registry as a flat JSONL journal: one self-describing JSON
-/// object per line — every span (in completion order), then every counter,
-/// gauge, and histogram.
+/// object per line — every span (in completion order), then every counter
+/// and gauge.
 pub fn jsonl(obs: &ObsHandle) -> String {
     let mut out = String::new();
     for span in obs.spans() {
@@ -130,18 +130,6 @@ pub fn jsonl(obs: &ObsHandle) -> String {
             out,
             "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}",
             escape_json(name)
-        );
-    }
-    for (name, h) in obs.histograms() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\
-             \"sum\":{},\"min\":{},\"max\":{}}}",
-            escape_json(name),
-            h.count,
-            h.sum,
-            h.min,
-            h.max
         );
     }
     out

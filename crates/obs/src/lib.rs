@@ -1,15 +1,13 @@
 //! # cheetah-obs — pipeline-wide tracing and metrics
 //!
 //! A zero-dependency, no-network observability layer for the Cheetah
-//! reproduction. One [`ObsRegistry`] per profiling run collects three
+//! reproduction. One [`ObsRegistry`] per profiling run collects two
 //! kinds of telemetry behind cheap handles:
 //!
 //! * **Counters** ([`Counter`]) and **gauges** ([`Gauge`]) — a single
 //!   shared `AtomicU64` each; cloning a handle is an `Arc` bump and
 //!   updating it is one relaxed atomic op, cheap enough for the
 //!   simulator's hot loops.
-//! * **Histograms** ([`Histogram`]) — count/sum/min/max over recorded
-//!   values, again lock-free atomics.
 //! * **Scoped spans** ([`SpanGuard`]) — RAII wall-clock intervals with
 //!   typed attributes, recorded when the guard drops. Spans are only
 //!   stored when the registry was created with tracing enabled
@@ -76,57 +74,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug, Default)]
-struct HistogramCells {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-/// A count/sum/min/max summary over recorded values.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCells>);
-
-/// Snapshot of a [`Histogram`]'s state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSummary {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Smallest recorded value (0 when empty).
-    pub min: u64,
-    /// Largest recorded value (0 when empty).
-    pub max: u64,
-}
-
-impl Histogram {
-    /// Records one value.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-        self.0.min.fetch_min(v, Ordering::Relaxed);
-        self.0.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Reads the current summary.
-    pub fn summary(&self) -> HistogramSummary {
-        let count = self.0.count.load(Ordering::Relaxed);
-        HistogramSummary {
-            count,
-            sum: self.0.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.0.min.load(Ordering::Relaxed)
-            },
-            max: self.0.max.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -237,7 +184,6 @@ fn duration_ns(epoch: Instant, at: Instant) -> u64 {
 struct Inner {
     counters: BTreeMap<&'static str, Counter>,
     gauges: BTreeMap<&'static str, Gauge>,
-    histograms: BTreeMap<&'static str, Histogram>,
     spans: Vec<SpanRecord>,
     lane_names: BTreeMap<u32, &'static str>,
 }
@@ -313,7 +259,7 @@ impl ObsHandle {
     }
 
     /// Creates a fresh, independent registry with span tracing disabled:
-    /// counters, gauges and histograms work normally, spans are no-ops.
+    /// counters and gauges work normally, spans are no-ops.
     /// This is also what `ObsHandle::default()` returns.
     pub fn fresh_untraced() -> Self {
         ObsHandle::with_tracing(false)
@@ -345,22 +291,6 @@ impl ObsHandle {
             .gauges
             .entry(name)
             .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0))))
-            .clone()
-    }
-
-    /// Returns the histogram registered under `name`, creating it empty.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.reg
-            .inner
-            .lock()
-            .unwrap()
-            .histograms
-            .entry(name)
-            .or_insert_with(|| {
-                let cells = HistogramCells::default();
-                cells.min.store(u64::MAX, Ordering::Relaxed);
-                Histogram(Arc::new(cells))
-            })
             .clone()
     }
 
@@ -420,19 +350,6 @@ impl ObsHandle {
             .gauges
             .iter()
             .map(|(k, v)| (*k, v.get()))
-            .collect()
-    }
-
-    /// Snapshot of all histograms as `(name, summary)` pairs, sorted by
-    /// name.
-    pub fn histograms(&self) -> Vec<(&'static str, HistogramSummary)> {
-        self.reg
-            .inner
-            .lock()
-            .unwrap()
-            .histograms
-            .iter()
-            .map(|(k, v)| (*k, v.summary()))
             .collect()
     }
 
@@ -511,18 +428,5 @@ mod tests {
             span.attr_u64("n", 1);
         }
         assert!(untraced.spans().is_empty());
-    }
-
-    #[test]
-    fn histogram_summary_tracks_bounds() {
-        let obs = ObsHandle::fresh();
-        let h = obs.histogram("lat");
-        assert_eq!(h.summary().count, 0);
-        assert_eq!(h.summary().min, 0);
-        for v in [8, 2, 5] {
-            h.record(v);
-        }
-        let s = h.summary();
-        assert_eq!((s.count, s.sum, s.min, s.max), (3, 15, 2, 8));
     }
 }

@@ -23,12 +23,19 @@
 //! remained afterwards. Everything downstream of a deterministic workload
 //! builder is deterministic, so traces are bit-identical across runs — a
 //! property the test suite asserts.
+//!
+//! On a sharded machine the first profile also captures a
+//! [`Checkpoint`] after the leading phases no parallel phase writes into
+//! (an input-reading serial phase, typically). Each re-profile whose fixes
+//! all leave that prefix in place resumes from the checkpoint instead of
+//! re-simulating it; the profile is bit-identical either way (see
+//! [`cheetah_sim::checkpoint`]).
 
 use crate::plan::{rank, synthesize, RepairPlan, RepairStrategy};
-use crate::rewrite::{apply_iterations, RepairError};
+use crate::rewrite::{apply, RepairError};
 use crate::validate::ValidationHarness;
-use cheetah_core::CheetahProfiler;
-use cheetah_sim::Cycles;
+use cheetah_core::{CheetahConfig, CheetahProfiler, Profile};
+use cheetah_sim::{Checkpoint, Cycles, Machine};
 use cheetah_workloads::WorkloadInstance;
 use std::fmt;
 
@@ -255,16 +262,13 @@ where
     // improvements share one baseline.
     let cheetah = harness.non_perturbing_config();
 
-    let profile_with = |plans: &[RepairPlan]| -> Result<_, RepairError> {
-        let (program, mut space) = build().into_parts();
-        let repaired = apply_iterations(program, plans, &mut space)?;
+    let (mut profile, checkpoint) = {
+        let (program, space) = build().into_parts();
         let mut profiler = CheetahProfiler::new(cheetah.clone(), &space);
-        machine.run(repaired, &mut profiler);
-        Ok(profiler.finish())
+        let (_, checkpoint) = machine.run_capturing(program, &mut profiler);
+        (profiler.finish(), checkpoint)
     };
-
     let mut plans: Vec<RepairPlan> = Vec::new();
-    let mut profile = profile_with(&plans)?;
     let initial_cycles = profile.total_cycles;
     let initial_samples = profile.total_samples;
     let mut iterations: Vec<IterationRecord> = Vec::new();
@@ -305,7 +309,9 @@ where
         span.attr_u64("iteration", iterations.len() as u64 + 1);
         span.attr_str("label", label.clone());
         span.attr_f64("predicted", predicted);
-        let next = profile_with(&plans)?;
+        let (next, resumed_phases) =
+            reprofile(machine, &cheetah, &build, &plans, checkpoint.as_ref())?;
+        span.attr_u64("resumed_phases", u64::from(resumed_phases));
         let cycles_after = next.total_cycles;
         let measured = if cycles_after == 0 {
             1.0
@@ -342,11 +348,45 @@ where
     })
 }
 
+/// Profiles the build with `plans` applied. The run resumes from
+/// `checkpoint` when every plan's layout map leaves the checkpoint's prefix
+/// in place; otherwise, or when the resume is refused, it runs from phase 0
+/// with a fresh profiler. Returns the profile and the phases skipped.
+fn reprofile<F>(
+    machine: &Machine,
+    cheetah: &CheetahConfig,
+    build: &F,
+    plans: &[RepairPlan],
+    checkpoint: Option<&Checkpoint>,
+) -> Result<(Profile, u32), RepairError>
+where
+    F: Fn() -> WorkloadInstance,
+{
+    let (mut program, mut space) = build().into_parts();
+    let mut admitted = checkpoint;
+    for plan in plans {
+        let map = apply(plan, &mut space)?;
+        admitted = admitted.filter(|checkpoint| checkpoint.admits(&map));
+        program = program.with_layout(map.shared());
+    }
+    let mut profiler = CheetahProfiler::new(cheetah.clone(), &space);
+    match admitted {
+        Some(checkpoint) => match machine.resume(checkpoint, program, &mut profiler) {
+            Ok(_) => Ok((profiler.finish(), checkpoint.phases())),
+            // The profiler may have seen part of the refused replay.
+            Err(_) => reprofile(machine, cheetah, build, plans, None),
+        },
+        None => {
+            machine.run(program, &mut profiler);
+            Ok((profiler.finish(), 0))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::CheetahConfig;
-    use cheetah_sim::{Machine, MachineConfig};
+    use cheetah_sim::MachineConfig;
     use cheetah_workloads::{find, AppConfig};
 
     fn harness(cores: u32, period: u64) -> ValidationHarness {
@@ -401,6 +441,44 @@ mod tests {
         assert!(trace.iterations.is_empty());
         assert_eq!(trace.initial_cycles, trace.final_cycles);
         assert!((trace.total_improvement() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn refused_resume_reprofiles_from_phase_zero() {
+        let app = find("streamcluster").unwrap();
+        let config = AppConfig::with_threads(4).scaled(0.1);
+        let build = || app.build(&config);
+        let machine = Machine::new(MachineConfig::with_cores(16).with_shards(2));
+        let perturbing = CheetahConfig::scaled(32);
+        let mut quiet = perturbing.clone();
+        quiet.sampler.trap_cost = 0;
+        quiet.sampler.setup_cost = 0;
+        let capture = |cheetah: &CheetahConfig| {
+            let (program, space) = build().into_parts();
+            let mut profiler = CheetahProfiler::new(cheetah.clone(), &space);
+            let (_, checkpoint) = machine.run_capturing(program, &mut profiler);
+            checkpoint.expect("streamcluster's input phase is a prefix")
+        };
+        let (fresh, skipped) = reprofile(&machine, &quiet, &build, &[], None).unwrap();
+        assert_eq!(skipped, 0);
+
+        // A profiler charging setup costs answers the replayed main-thread
+        // start differently: the resume is refused and the profile starts
+        // over with a fresh profiler.
+        let foreign = capture(&perturbing);
+        let (fallback, skipped) = reprofile(&machine, &quiet, &build, &[], Some(&foreign)).unwrap();
+        // An identically configured profiler resumes after the input phase.
+        let own = capture(&quiet);
+        let (resumed, resumed_phases) =
+            reprofile(&machine, &quiet, &build, &[], Some(&own)).unwrap();
+        assert_eq!((skipped, resumed_phases), (0, 1));
+        for profile in [&fallback, &resumed] {
+            assert_eq!(profile.total_cycles, fresh.total_cycles);
+            assert_eq!(profile.total_samples, fresh.total_samples);
+            assert_eq!(profile.phases, fresh.phases);
+            assert_eq!(profile.threads, fresh.threads);
+            assert_eq!(profile.render_report(), fresh.render_report());
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@ use cheetah_core::{AssessModel, CheetahConfig};
 use cheetah_repair::{
     converge, ConvergeConfig, ConvergenceTrace, RepairStrategy, ValidationHarness,
 };
-use cheetah_sim::{Machine, MachineConfig};
+use cheetah_sim::metrics::RESUMED_PHASES;
+use cheetah_sim::{Machine, MachineConfig, ObsHandle};
 use cheetah_workloads::{find, AppConfig};
 use proptest::prelude::*;
 
@@ -211,34 +212,50 @@ fn iteration_records_chain() {
 /// Sharded simulator execution must not change convergence at all: the
 /// full profile → fix → re-profile loop produces a bit-identical trace
 /// whether the machine interleaves threads classically (`shards = 1`) or
-/// merges sharded event streams (`shards = 4`).
+/// merges sharded event streams (`shards = 4`). Sharded re-profiles resume
+/// from the first profile's checkpoint where the fixes leave its prefix in
+/// place — streamcluster's input phase — and the `sim.resumed_phases`
+/// counter proves the resumed path actually ran; inter_object writes its
+/// repaired objects in phase 0, so it has no prefix to skip.
 #[test]
 fn converge_identical_under_sharded_execution() {
-    let app = find("linear_regression").unwrap();
-    let config = AppConfig {
-        threads: 4,
-        scale: 0.05,
-        fixed: false,
-        seed: 1,
-    };
-    let trace_at = |shards: u32| {
-        let harness = ValidationHarness::calibrated(
-            Machine::new(MachineConfig::with_cores(16).with_shards(shards)),
-            CheetahConfig::scaled(96),
-        );
-        converge(
-            &harness,
-            "linear_regression",
-            || app.build(&config),
-            &ConvergeConfig::default(),
-        )
-        .expect("plans apply")
-    };
-    let classic = trace_at(1);
-    let sharded = trace_at(4);
-    assert_eq!(classic.iterations, sharded.iterations);
-    assert_eq!(classic.initial_cycles, sharded.initial_cycles);
-    assert_eq!(classic.final_cycles, sharded.final_cycles);
-    assert_eq!(classic.initial_samples, sharded.initial_samples);
-    assert_eq!(classic.converged, sharded.converged);
+    let cases = [
+        ("linear_regression", 0.05, 96, ConvergeConfig::default()),
+        ("streamcluster", 0.1, 32, ConvergeConfig::default()),
+        ("inter_object", 0.08, 64, ConvergeConfig::exhaustive(8)),
+    ];
+    for (name, scale, period, converge_config) in cases {
+        let app = find(name).unwrap();
+        let config = AppConfig {
+            threads: 4,
+            scale,
+            fixed: false,
+            seed: 1,
+        };
+        let trace_at = |shards: u32| {
+            let obs = ObsHandle::fresh_untraced();
+            let machine = MachineConfig::with_cores(16)
+                .with_shards(shards)
+                .with_obs(obs.clone());
+            let harness =
+                ValidationHarness::calibrated(Machine::new(machine), CheetahConfig::scaled(period));
+            let trace = converge(&harness, name, || app.build(&config), &converge_config)
+                .expect("plans apply");
+            (trace, obs.counter(RESUMED_PHASES).get())
+        };
+        let (classic, classic_resumed) = trace_at(1);
+        let (sharded, sharded_resumed) = trace_at(4);
+        assert!(!sharded.iterations.is_empty(), "{name} needs a re-profile");
+        assert_eq!(classic.iterations, sharded.iterations, "{name}");
+        assert_eq!(classic.initial_cycles, sharded.initial_cycles, "{name}");
+        assert_eq!(classic.final_cycles, sharded.final_cycles, "{name}");
+        assert_eq!(classic.initial_samples, sharded.initial_samples, "{name}");
+        assert_eq!(classic.converged, sharded.converged, "{name}");
+        assert_eq!(classic_resumed, 0, "the classic loop never captures");
+        match name {
+            "streamcluster" => assert!(sharded_resumed >= 1, "{name} skipped no phase"),
+            "inter_object" => assert_eq!(sharded_resumed, 0, "{name} has no prefix"),
+            _ => {}
+        }
+    }
 }

@@ -297,7 +297,7 @@ impl AccessResult {
 /// assert_eq!(result.outcome, AccessOutcome::RemoteDirty);
 /// assert_eq!(dir.stats().invalidations, 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Directory {
     latency: LatencyModel,
     lines: FastMap<CacheLineId, LineEntry>,

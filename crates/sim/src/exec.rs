@@ -6,6 +6,7 @@
 //! cores unfolds exactly as on a real machine. The engine is fully
 //! deterministic: identical programs produce identical reports.
 
+use crate::checkpoint::{Checkpoint, ResumeError};
 use crate::coherence::{Directory, MAX_CORES};
 use crate::latency::LatencyModel;
 use crate::metrics::SimCounters;
@@ -230,8 +231,78 @@ impl Machine {
     ///
     /// The program is consumed: streams are stateful and single-shot.
     pub fn run(&self, program: Program, observer: &mut dyn ExecObserver) -> RunReport {
-        Execution::new(&self.config, observer).run(program)
+        execute(&self.config, observer, program, None, 0).0
     }
+
+    /// Runs `program` like [`Machine::run`] and, on a sharded machine,
+    /// also captures a [`Checkpoint`] after the program's longest leading
+    /// run of phases that no parallel phase writes into (see
+    /// [`crate::checkpoint`]). Returns `None` in place of the checkpoint
+    /// on the classic loop (`shards = 1`) or when no such prefix exists.
+    pub fn run_capturing(
+        &self,
+        program: Program,
+        observer: &mut dyn ExecObserver,
+    ) -> (RunReport, Option<Checkpoint>) {
+        crate::checkpoint::capture(&self.config, program, observer)
+    }
+
+    /// Runs `program` from `checkpoint`: replays the prefix's observer
+    /// callbacks into `observer`, restores the machine state, and executes
+    /// only the phases after the prefix. The report equals a full
+    /// [`Machine::run`] of `program` whenever the program's prefix executes
+    /// the same operations as the captured one (see [`crate::checkpoint`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError`] if the configuration differs from the capturing
+    /// machine's, the program's prefix declares different footprints, or
+    /// `observer` answers a replayed callback differently; nothing after
+    /// the replayed callbacks has run, so the caller can start over.
+    pub fn resume(
+        &self,
+        checkpoint: &Checkpoint,
+        program: Program,
+        observer: &mut dyn ExecObserver,
+    ) -> Result<RunReport, ResumeError> {
+        crate::checkpoint::resume(&self.config, checkpoint, program, observer)
+    }
+}
+
+/// Executes `program` on a machine configured by `config`. With `from`,
+/// the run starts at that phase boundary instead of phase 0; with
+/// `capture_after > 0`, the machine state at the end of phase
+/// `capture_after - 1` is returned next to the report.
+pub(crate) fn execute(
+    config: &MachineConfig,
+    observer: &mut dyn ExecObserver,
+    program: Program,
+    from: Option<Boundary>,
+    capture_after: u32,
+) -> (RunReport, Option<Boundary>) {
+    Execution::new(config, observer).run(program, from, capture_after)
+}
+
+/// The machine state at a phase boundary: everything the remaining phases'
+/// execution and the final report depend on.
+#[derive(Debug, Clone)]
+pub(crate) struct Boundary {
+    /// Phases completed.
+    pub(crate) phases: u32,
+    pub(crate) directory: Directory,
+    pub(crate) main: MainCursor,
+    pub(crate) next_tid: u32,
+    pub(crate) phase_reports: Vec<PhaseReport>,
+    pub(crate) thread_reports: Vec<ThreadReport>,
+}
+
+/// The main thread's position: its clock and retired-operation counts.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MainCursor {
+    clock: Cycles,
+    instructions: u64,
+    reads: u64,
+    writes: u64,
 }
 
 /// Byte-granular footprint auditor
@@ -381,27 +452,49 @@ impl<'a> Execution<'a> {
         hash.finish()
     }
 
-    fn run(mut self, program: Program) -> RunReport {
+    fn run(
+        mut self,
+        program: Program,
+        from: Option<Boundary>,
+        capture_after: u32,
+    ) -> (RunReport, Option<Boundary>) {
         let (program_name, phases) = program.into_parts();
-        let mut phase_reports = Vec::with_capacity(phases.len());
-        let mut thread_reports: Vec<ThreadReport> = Vec::new();
-
-        // The main thread exists for the whole run on core 0.
-        let main_setup = self.observer.on_thread_start(ThreadId::MAIN, "main", 0);
+        let from = from.unwrap_or_else(|| Boundary {
+            phases: 0,
+            directory: Directory::new(self.latency.clone()),
+            // The main thread exists for the whole run on core 0.
+            main: MainCursor {
+                clock: self.observer.on_thread_start(ThreadId::MAIN, "main", 0),
+                ..MainCursor::default()
+            },
+            next_tid: 1,
+            phase_reports: Vec::with_capacity(phases.len()),
+            thread_reports: Vec::new(),
+        });
+        self.counters.count_resumed(u64::from(from.phases));
+        let Boundary {
+            phases: first,
+            directory,
+            main: cursor,
+            mut next_tid,
+            mut phase_reports,
+            mut thread_reports,
+        } = from;
+        self.directory = directory;
         let mut main = ThreadCtx {
             id: ThreadId::MAIN,
             name: "main".to_string(),
             core: CoreId(0),
-            clock: main_setup,
+            clock: cursor.clock,
             start: 0,
-            instructions: 0,
-            reads: 0,
-            writes: 0,
+            instructions: cursor.instructions,
+            reads: cursor.reads,
+            writes: cursor.writes,
             stream: Box::new(crate::program::OpsStream::new(Vec::new())),
         };
-        let mut next_tid: u32 = 1;
+        let mut captured = None;
 
-        for (index, phase) in phases.into_iter().enumerate() {
+        for (index, phase) in phases.into_iter().enumerate().skip(first as usize) {
             let index = index as u32;
             let kind = phase.kind();
             let phase_start = main.clock;
@@ -530,6 +623,21 @@ impl<'a> Execution<'a> {
                 );
             }
             span.finish();
+            if index + 1 == capture_after {
+                captured = Some(Boundary {
+                    phases: capture_after,
+                    directory: self.directory.clone(),
+                    main: MainCursor {
+                        clock: main.clock,
+                        instructions: main.instructions,
+                        reads: main.reads,
+                        writes: main.writes,
+                    },
+                    next_tid,
+                    phase_reports: phase_reports.clone(),
+                    thread_reports: thread_reports.clone(),
+                });
+            }
         }
 
         let total = main.clock;
@@ -549,13 +657,14 @@ impl<'a> Execution<'a> {
         );
 
         self.counters.count_merged(self.classic_ops);
-        RunReport {
+        let report = RunReport {
             program: program_name,
             total_cycles: total,
             phases: phase_reports,
             threads: thread_reports,
             coherence: self.directory.stats().clone(),
-        }
+        };
+        (report, captured)
     }
 
     /// Runs the main thread's stream to exhaustion (serial phase).

@@ -13,7 +13,10 @@
 //!   threads of a fork-join [`Program`] in exact global time order,
 //! * an [`ExecObserver`] hook through which profilers (the PMU layer)
 //!   watch every access and charge measurement perturbation back into
-//!   simulated time.
+//!   simulated time,
+//! * resumable runs ([`checkpoint`]): a sharded run can save its state after
+//!   the leading phases a layout repair cannot reach, and later runs of the
+//!   repaired program start from there.
 //!
 //! Everything is deterministic: the same program yields bit-identical
 //! [`RunReport`]s, which is what makes "predicted vs. real speedup"
@@ -47,6 +50,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod checkpoint;
 pub mod coherence;
 pub mod exec;
 pub(crate) mod extent;
@@ -63,6 +67,7 @@ pub mod stats;
 pub mod types;
 pub mod util;
 
+pub use checkpoint::{Checkpoint, ResumeError};
 pub use cheetah_obs::ObsHandle;
 pub use coherence::{Directory, SharerSet, MAX_CORES};
 pub use exec::{ConfigError, Machine, MachineConfig, OBS_LANE_ENGINE};

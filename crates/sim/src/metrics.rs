@@ -54,6 +54,11 @@ pub const SCHED_SELECTIONS: &str = "sched.selections";
 /// ready event. `reordered / selections` measures how far a seed strays
 /// from the observed interleaving.
 pub const SCHED_REORDERED: &str = "sched.reordered_events";
+/// Counter name for phases a resumed run skipped: each
+/// [`Machine::resume`](crate::Machine::resume) adds its checkpoint's prefix
+/// length, so a trace shows which re-profiles re-simulated less. Zero for
+/// runs from phase 0.
+pub const RESUMED_PHASES: &str = "sim.resumed_phases";
 
 /// Pre-resolved counter handles for one run's registry: the execution
 /// paths look the handles up once per run/phase instead of taking the
@@ -69,6 +74,7 @@ pub(crate) struct SimCounters {
     violations: Counter,
     sched_selections: Counter,
     sched_reordered: Counter,
+    resumed: Counter,
 }
 
 impl SimCounters {
@@ -83,6 +89,7 @@ impl SimCounters {
             violations: obs.counter(FOOTPRINT_VIOLATIONS),
             sched_selections: obs.counter(SCHED_SELECTIONS),
             sched_reordered: obs.counter(SCHED_REORDERED),
+            resumed: obs.counter(RESUMED_PHASES),
         }
     }
 
@@ -123,6 +130,12 @@ impl SimCounters {
     pub(crate) fn count_schedule(&self, selections: u64, reordered: u64) {
         self.sched_selections.add(selections);
         self.sched_reordered.add(reordered);
+    }
+
+    /// Adds `n` phases skipped by resuming from a checkpoint.
+    #[inline]
+    pub(crate) fn count_resumed(&self, n: u64) {
+        self.resumed.add(n);
     }
 
     /// A clone of the violations counter handle, for the footprint

@@ -123,6 +123,15 @@ impl std::fmt::Debug for SamplerFork {
 /// need. Methods returning [`Cycles`] report *extra* cycles the engine must
 /// charge to the thread in question (profiling perturbation); return `0` for
 /// a transparent observer.
+///
+/// # Determinism contract
+///
+/// An observer's state — and so every value it returns — is a pure
+/// function of its construction inputs and the sequence of callbacks it
+/// has received, [`fork_sampler`](ExecObserver::fork_sampler) included.
+/// Resuming from a [`Checkpoint`](crate::Checkpoint) relies on this: it
+/// replays the captured prefix's callbacks into a freshly built observer
+/// instead of re-simulating the prefix.
 pub trait ExecObserver {
     /// Called when a thread starts (including the main thread at time 0).
     /// The returned cycles model per-thread profiler setup cost (e.g.

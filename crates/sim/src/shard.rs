@@ -701,7 +701,6 @@ pub(crate) fn run_parallel_sharded(
 ) -> Vec<Cycles> {
     let line_size = config.cache_line_size;
     let latency = config.latency.clone();
-    let debug_timing = std::env::var_os("CHEETAH_SHARD_TIMING").is_some();
     let t0 = std::time::Instant::now();
     let mut span_classify = config.obs.span("shard.classify", OBS_LANE_ENGINE);
     span_classify.attr_u64("phase", u64::from(phase_index));
@@ -847,16 +846,6 @@ pub(crate) fn run_parallel_sharded(
         (t_pre - t_class).as_nanos() as u64,
         (t_merge - t_pre).as_nanos() as u64,
     );
-    if debug_timing {
-        let t_all = t0.elapsed();
-        eprintln!(
-            "shard phase {phase_index}: class={:?} pre={:?} merge={:?} total={:?}",
-            t_class,
-            t_pre - t_class,
-            t_merge - t_pre,
-            t_all
-        );
-    }
     ends
 }
 
