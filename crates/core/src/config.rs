@@ -57,6 +57,36 @@ impl fmt::Display for DetectorConfigError {
 
 impl Error for DetectorConfigError {}
 
+/// Why [`crate::CheetahProfiler::try_new`] rejected a [`CheetahConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProfilerConfigError {
+    /// The sampler configuration is invalid (zero period).
+    Sampler(cheetah_pmu::ConfigError),
+    /// The detector configuration is invalid.
+    Detector(DetectorConfigError),
+    /// The fault plan is invalid.
+    Faults(cheetah_pmu::ConfigError),
+}
+
+impl fmt::Display for ProfilerConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ProfilerConfigError::Sampler(error) => write!(f, "invalid sampler config: {error}"),
+            ProfilerConfigError::Detector(error) => write!(f, "invalid detector config: {error}"),
+            ProfilerConfigError::Faults(error) => write!(f, "invalid fault plan: {error}"),
+        }
+    }
+}
+
+impl Error for ProfilerConfigError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ProfilerConfigError::Sampler(error) | ProfilerConfigError::Faults(error) => Some(error),
+            ProfilerConfigError::Detector(error) => Some(error),
+        }
+    }
+}
+
 /// Plausibility bounds on incoming sample fields.
 ///
 /// A real PMU ring buffer can hand the detector torn or garbage records

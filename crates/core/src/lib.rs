@@ -52,7 +52,9 @@ pub use assess::{
 pub use classify::{
     collect_instances, ObjectDescriptor, ObjectOrigin, SharingInstance, SharingKind, WordReport,
 };
-pub use config::{CheetahConfig, DetectorConfig, DetectorConfigError, IngestLimits};
+pub use config::{
+    CheetahConfig, DetectorConfig, DetectorConfigError, IngestLimits, ProfilerConfigError,
+};
 pub use detect::{
     CountMinSketch, Detector, IngestOutcome, IngestStats, LineAccum, LinePrefilter, LineResidency,
     LineSlice, ObjectAccum, ObjectKey, QuarantineCounts, ThreadOnObject, TwoEntryTable,

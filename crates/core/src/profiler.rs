@@ -11,7 +11,7 @@
 
 use crate::assess::{assess_with_model, AssessContext, AssessModel};
 use crate::classify::collect_instances;
-use crate::config::CheetahConfig;
+use crate::config::{CheetahConfig, ProfilerConfigError};
 use crate::detect::detector::{self, Detector, IngestOutcome, IngestStats};
 use crate::report::AssessedInstance;
 use cheetah_heap::AddressSpace;
@@ -67,18 +67,29 @@ pub struct CheetahProfiler<'a> {
 impl<'a> CheetahProfiler<'a> {
     /// Creates a profiler resolving addresses against `space`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config` is invalid (zero sampling period, bad line size,
-    /// out-of-range fault plan).
-    pub fn new(config: CheetahConfig, space: &'a AddressSpace) -> Self {
-        let faults = config.faults.map(|plan| match FaultInjector::new(plan) {
-            Ok(injector) => injector,
-            Err(error) => panic!("{error}"),
-        });
-        CheetahProfiler {
+    /// [`ProfilerConfigError`] naming the invalid part of `config`: the
+    /// sampler (zero period), the detector (bad line size, fraction,
+    /// latency or capacity) or the fault plan (out-of-range rate).
+    pub fn try_new(
+        config: CheetahConfig,
+        space: &'a AddressSpace,
+    ) -> Result<Self, ProfilerConfigError> {
+        let engine =
+            SamplingEngine::try_new(config.sampler).map_err(ProfilerConfigError::Sampler)?;
+        config
+            .detector
+            .try_validate()
+            .map_err(ProfilerConfigError::Detector)?;
+        let faults = config
+            .faults
+            .map(FaultInjector::new)
+            .transpose()
+            .map_err(ProfilerConfigError::Faults)?;
+        Ok(CheetahProfiler {
             space,
-            engine: SamplingEngine::new(config.sampler),
+            engine,
             phases: PhaseTracker::new(),
             threads: ThreadRegistry::new(),
             detector: Detector::new(config.detector),
@@ -86,7 +97,17 @@ impl<'a> CheetahProfiler<'a> {
             assess_model: config.assess_model,
             end_time: 0,
             obs: config.obs,
-        }
+        })
+    }
+
+    /// Creates a profiler resolving addresses against `space`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid; see [`CheetahProfiler::try_new`] for
+    /// the fallible variant.
+    pub fn new(config: CheetahConfig, space: &'a AddressSpace) -> Self {
+        CheetahProfiler::try_new(config, space).unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// Adds the run's final sampling, ingest and fault counts to the
@@ -770,6 +791,47 @@ mod tests {
             assert_eq!(counter(name), value, "{name}");
         }
         assert_eq!(obs.gauge(detector::OBS_OBJECT_TABLE).get(), objects);
+    }
+
+    #[test]
+    fn try_new_rejects_an_invalid_sampler() {
+        let space = AddressSpace::new();
+        let config = CheetahConfig::with_period(0);
+        assert_eq!(
+            CheetahProfiler::try_new(config, &space).unwrap_err(),
+            ProfilerConfigError::Sampler(cheetah_pmu::ConfigError::ZeroPeriod)
+        );
+    }
+
+    #[test]
+    fn try_new_rejects_an_invalid_detector() {
+        let space = AddressSpace::new();
+        let mut config = CheetahConfig::with_period(512);
+        config.detector.line_size = 60;
+        assert_eq!(
+            CheetahProfiler::try_new(config, &space).unwrap_err(),
+            ProfilerConfigError::Detector(crate::DetectorConfigError::LineSizeNotPowerOfTwo)
+        );
+    }
+
+    #[test]
+    fn try_new_rejects_an_invalid_fault_plan() {
+        let space = AddressSpace::new();
+        let config =
+            CheetahConfig::with_period(512).with_faults(cheetah_pmu::FaultPlan::drops(1001));
+        let error = CheetahProfiler::try_new(config, &space).unwrap_err();
+        assert_eq!(
+            error,
+            ProfilerConfigError::Faults(cheetah_pmu::ConfigError::FaultRateOutOfRange)
+        );
+        assert!(error.to_string().starts_with("invalid fault plan"));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid sampler config")]
+    fn new_panics_on_an_invalid_config() {
+        let space = AddressSpace::new();
+        let _ = CheetahProfiler::new(CheetahConfig::with_period(0), &space);
     }
 
     #[test]

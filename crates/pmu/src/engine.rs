@@ -206,7 +206,12 @@ impl SamplingEngine {
         self.total_samples
     }
 
-    /// Tags that landed on non-memory instructions and were dropped.
+    /// Tags that landed on non-memory instructions and were dropped,
+    /// counted when [`SamplingEngine::observe`] catches up with them. The
+    /// simulator surfaces only sampled accesses through a replica
+    /// ([`SamplingEngine::fork_thread`]), so tags after a thread's last
+    /// sample are charged to the thread by the replica but not counted
+    /// here.
     pub fn total_dropped(&self) -> u64 {
         self.total_dropped
     }
@@ -216,7 +221,8 @@ impl SamplingEngine {
         self.threads.get(&thread).map_or(0, |s| s.samples)
     }
 
-    /// Total cycles of perturbation charged through traps.
+    /// Total cycles of perturbation charged through traps, counted like
+    /// [`SamplingEngine::total_dropped`].
     pub fn total_trap_cycles(&self) -> Cycles {
         self.total_trap_cycles
     }

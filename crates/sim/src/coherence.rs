@@ -24,6 +24,7 @@ use crate::latency::{AccessOutcome, LatencyModel};
 use crate::stats::CoherenceStats;
 use crate::types::{AccessKind, CacheLineId, CoreId, Cycles};
 use crate::util::{FastMap, FastSet};
+use std::collections::hash_map::Entry;
 
 /// Maximum number of cores the sharer bitset supports.
 pub const MAX_CORES: u32 = 64;
@@ -313,7 +314,7 @@ pub struct Directory {
     /// Extent form of LLC residency (union with `llc`), sorted disjoint.
     llc_ranges: Vec<(u64, u64)>,
     /// Last line touched per core, for next-line prefetch detection.
-    last_line: FastMap<CoreId, CacheLineId>,
+    last_line: [Option<CacheLineId>; MAX_CORES as usize],
     stats: CoherenceStats,
 }
 
@@ -333,7 +334,7 @@ impl Directory {
             overlay: Vec::new(),
             llc: FastSet::default(),
             llc_ranges: Vec::new(),
-            last_line: FastMap::default(),
+            last_line: [None; MAX_CORES as usize],
             stats: CoherenceStats::default(),
         }
     }
@@ -357,7 +358,7 @@ impl Directory {
         let shadowed = self
             .lines
             .keys()
-            .filter(|l| self.overlay_state(**l).is_some())
+            .filter(|l| overlay_state(&self.overlay, **l).is_some())
             .count() as u64;
         self.lines.len() + (overlay_lines - shadowed) as usize
     }
@@ -393,8 +394,7 @@ impl Directory {
             let line = CacheLineId(id);
             let state = match self.lines.get(&line) {
                 Some(entry) => entry.state,
-                None => self
-                    .overlay_state(line)
+                None => overlay_state(&self.overlay, line)
                     .expect("line id was collected from an overlay range"),
             };
             hash.write_u64(id);
@@ -427,12 +427,10 @@ impl Directory {
         for id in llc_ids {
             hash.write_u64(id);
         }
-        let mut cursors: Vec<(u32, u64)> = self
-            .last_line
-            .iter()
-            .map(|(core, line)| (core.0, line.0))
+        let cursors: Vec<(u32, u64)> = (0..MAX_CORES)
+            .zip(&self.last_line)
+            .filter_map(|(core, line)| line.map(|line| (core, line.0)))
             .collect();
-        cursors.sort_unstable();
         hash.write_u64(cursors.len() as u64);
         for (core, line) in cursors {
             hash.write_u64(u64::from(core));
@@ -454,24 +452,6 @@ impl Directory {
         }
     }
 
-    /// Looks a line up in the extent overlay.
-    fn overlay_state(&self, line: CacheLineId) -> Option<LineState> {
-        let idx = self.overlay.partition_point(|&(_, end, _)| end <= line.0);
-        match self.overlay.get(idx) {
-            Some(&(start, _, state)) if start <= line.0 => Some(state),
-            _ => None,
-        }
-    }
-
-    /// Whether the LLC holds the line (per-line set or extent ranges).
-    fn llc_contains(&self, line: CacheLineId) -> bool {
-        if self.llc.contains(&line) {
-            return true;
-        }
-        let idx = self.llc_ranges.partition_point(|&(_, end)| end <= line.0);
-        matches!(self.llc_ranges.get(idx), Some(&(start, _)) if start <= line.0)
-    }
-
     /// Simulates one access starting at time `now`; returns how it was
     /// satisfied and the full latency breakdown.
     ///
@@ -479,6 +459,10 @@ impl Directory {
     /// and the statistics counters (including `invalidations`, the number
     /// of remote line copies killed by write upgrades and
     /// read-for-ownership transfers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below [`MAX_CORES`].
     pub fn access(
         &mut self,
         core: CoreId,
@@ -486,11 +470,9 @@ impl Directory {
         kind: AccessKind,
         now: Cycles,
     ) -> AccessResult {
-        let sequential = self
-            .last_line
-            .get(&core)
-            .is_some_and(|last| last.0 + 1 == line.0);
-        self.last_line.insert(core, line);
+        let last = &mut self.last_line[core.0 as usize];
+        let sequential = last.is_some_and(|last| last.0 + 1 == line.0);
+        *last = Some(line);
         self.access_inner(core, line, kind, now, sequential)
     }
 
@@ -522,22 +504,34 @@ impl Directory {
         now: Cycles,
         sequential: bool,
     ) -> AccessResult {
-        // Queue behind any in-flight transaction on the line. Overlay
-        // ranges carry no busy window (extent write-back happens at phase
-        // joins, after every transaction completed).
-        let entry = self.lines.get(&line);
-        let wait = entry.map_or(0, |entry| entry.busy_until.saturating_sub(now));
-        let prev = entry.map(|e| e.state).or_else(|| self.overlay_state(line));
-        let in_llc = prev.is_none() && self.llc_contains(line);
+        // One probe resolves the line: a tracked line's entry carries its
+        // state and busy window; only an untracked line consults the
+        // overlay and the LLC. Overlay ranges carry no busy window (extent
+        // write-back happens at phase joins, after every transaction
+        // completed), so a new entry starts idle.
+        let (entry, prev, in_llc) = match self.lines.entry(line) {
+            Entry::Occupied(slot) => {
+                let entry = slot.into_mut();
+                let prev = entry.state;
+                (entry, Some(prev), false)
+            }
+            Entry::Vacant(slot) => {
+                let prev = overlay_state(&self.overlay, line);
+                let in_llc = prev.is_none() && llc_contains(&self.llc, &self.llc_ranges, line);
+                let entry = slot.insert(LineEntry {
+                    state: LineState::Exclusive(core),
+                    busy_until: 0,
+                });
+                (entry, prev, in_llc)
+            }
+        };
+        // Queue behind any in-flight transaction on the line.
+        let wait = entry.busy_until.saturating_sub(now);
         let t = transition(prev, in_llc, core, kind);
-        self.set_state(line, t.state);
-        if t.llc_insert {
-            self.llc.insert(line);
-        }
-        self.stats.invalidations += t.invalidated;
+        entry.state = t.state;
         // Next-line prefetch: a sequential miss on an uncontended line is
         // hidden by the hardware prefetcher. The state transition and any
-        // invalidations above still stand; only the visible cost changes.
+        // invalidations still stand; only the visible cost changes.
         let outcome = if wait == 0 && prefetchable(t.outcome) && sequential {
             AccessOutcome::Prefetched
         } else {
@@ -546,31 +540,18 @@ impl Directory {
         let cost = self.latency.cost(outcome);
         // Transactions that move the line occupy it until they complete.
         if occupies_line(outcome) {
-            if let Some(entry) = self.lines.get_mut(&line) {
-                entry.busy_until = now + wait + cost;
-            }
+            entry.busy_until = now + wait + cost;
         }
+        if t.llc_insert {
+            self.llc.insert(line);
+        }
+        self.stats.invalidations += t.invalidated;
         self.stats.record(outcome);
         self.stats.wait_cycles += wait;
         AccessResult {
             outcome,
             wait,
             cost,
-        }
-    }
-
-    fn set_state(&mut self, line: CacheLineId, state: LineState) {
-        match self.lines.get_mut(&line) {
-            Some(entry) => entry.state = state,
-            None => {
-                self.lines.insert(
-                    line,
-                    LineEntry {
-                        state,
-                        busy_until: 0,
-                    },
-                );
-            }
         }
     }
 
@@ -585,14 +566,14 @@ impl Directory {
     pub(crate) fn seed_of(&self, line: CacheLineId) -> (Option<LineState>, bool) {
         match self.lines.get(&line) {
             Some(entry) => (Some(entry.state), true),
-            None => (self.overlay_state(line), false),
+            None => (overlay_state(&self.overlay, line), false),
         }
     }
 
     /// Whether the LLC holds the line; seed-side companion of
     /// [`Directory::seed_of`] for cold lines.
     pub(crate) fn llc_resident(&self, line: CacheLineId) -> bool {
-        self.llc_contains(line)
+        llc_contains(&self.llc, &self.llc_ranges, line)
     }
 
     /// Overwrites every line of `[start, end)` with one uniform MESI state
@@ -681,19 +662,12 @@ impl Directory {
 
     /// The last line `core` touched, as seen by the prefetch tracker.
     pub(crate) fn last_line_for(&self, core: CoreId) -> Option<CacheLineId> {
-        self.last_line.get(&core).copied()
+        self.last_line[core.0 as usize]
     }
 
     /// Overwrites the prefetch tracker's last-line entry for `core`.
     pub(crate) fn set_last_line(&mut self, core: CoreId, line: Option<CacheLineId>) {
-        match line {
-            Some(line) => {
-                self.last_line.insert(core, line);
-            }
-            None => {
-                self.last_line.remove(&core);
-            }
-        }
+        self.last_line[core.0 as usize] = line;
     }
 
     /// Marks a line LLC-resident (write-back from a worker-local shard).
@@ -734,6 +708,24 @@ impl Directory {
     pub(crate) fn absorb_stats(&mut self, stats: &CoherenceStats) {
         self.stats.absorb(stats);
     }
+}
+
+/// Looks a line up in an extent overlay (see [`Directory`]'s `overlay`).
+fn overlay_state(overlay: &[(u64, u64, LineState)], line: CacheLineId) -> Option<LineState> {
+    let idx = overlay.partition_point(|&(_, end, _)| end <= line.0);
+    match overlay.get(idx) {
+        Some(&(start, _, state)) if start <= line.0 => Some(state),
+        _ => None,
+    }
+}
+
+/// Whether the LLC holds the line: its per-line set or its extent ranges.
+fn llc_contains(llc: &FastSet<CacheLineId>, ranges: &[(u64, u64)], line: CacheLineId) -> bool {
+    if llc.contains(&line) {
+        return true;
+    }
+    let idx = ranges.partition_point(|&(_, end)| end <= line.0);
+    matches!(ranges.get(idx), Some(&(start, _)) if start <= line.0)
 }
 
 /// Whether an outcome keeps the line occupied for its duration.

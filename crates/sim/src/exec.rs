@@ -10,7 +10,7 @@ use crate::checkpoint::{Checkpoint, ResumeError};
 use crate::coherence::{Directory, MAX_CORES};
 use crate::latency::LatencyModel;
 use crate::metrics::SimCounters;
-use crate::observer::{AccessRecord, ExecObserver};
+use crate::observer::{AccessRecord, ExecObserver, ForkJudge};
 use crate::program::{AccessStream, Op, Phase, Program};
 use crate::report::{PhaseReport, RunReport, ThreadReport};
 use crate::schedule::SchedulePolicy;
@@ -40,10 +40,13 @@ pub struct MachineConfig {
     pub thread_spawn_cost: Cycles,
     /// Host threads used to *shard* parallel phases (the `--shards N` knob
     /// of the bench harnesses). `1` (the default) runs the classic
-    /// single-threaded discrete-event loop; `0` means "auto" (the host's
-    /// available parallelism); `>= 2` executes each parallel phase in two
-    /// passes — per-worker event precomputation fanned out over this many
-    /// host threads, then a deterministic merge ordered by
+    /// single-threaded discrete-event loop, which steps every access
+    /// through the directory and surfaces to the observer only the
+    /// accesses its sampling replica judges sampled (see
+    /// [`crate::ThreadSampler`]); `0` means "auto" (the host's available
+    /// parallelism); `>= 2` executes each parallel phase in two passes —
+    /// per-worker event precomputation fanned out over this many host
+    /// threads, then a deterministic merge ordered by
     /// `(timestamp, worker, seq)` (see [`crate::shard`]). Reports are
     /// bit-identical for every value; only wall-clock time changes.
     pub shards: u32,
@@ -303,6 +306,7 @@ pub(crate) struct MainCursor {
     instructions: u64,
     reads: u64,
     writes: u64,
+    judged: Option<u64>,
 }
 
 /// Byte-granular footprint auditor
@@ -383,6 +387,10 @@ pub(crate) struct ThreadCtx {
     pub(crate) instructions: u64,
     pub(crate) reads: u64,
     pub(crate) writes: u64,
+    /// Instruction index of the last access a sampling replica of this
+    /// thread judged ([`ForkJudge::last_judged`]); the main thread carries
+    /// it from one serial phase's fork to the next.
+    pub(crate) judged: Option<u64>,
     pub(crate) stream: Box<dyn AccessStream>,
 }
 
@@ -490,6 +498,7 @@ impl<'a> Execution<'a> {
             instructions: cursor.instructions,
             reads: cursor.reads,
             writes: cursor.writes,
+            judged: cursor.judged,
             stream: Box::new(crate::program::OpsStream::new(Vec::new())),
         };
         let mut captured = None;
@@ -561,6 +570,7 @@ impl<'a> Execution<'a> {
                             instructions: 0,
                             reads: 0,
                             writes: 0,
+                            judged: None,
                             stream,
                         });
                     }
@@ -632,6 +642,7 @@ impl<'a> Execution<'a> {
                         instructions: main.instructions,
                         reads: main.reads,
                         writes: main.writes,
+                        judged: main.judged,
                     },
                     next_tid,
                     phase_reports: phase_reports.clone(),
@@ -669,15 +680,21 @@ impl<'a> Execution<'a> {
 
     /// Runs the main thread's stream to exhaustion (serial phase).
     fn run_serial(&mut self, main: &mut ThreadCtx, phase_index: u32) {
+        let mut judge = ForkJudge::fork(self.observer, main.id, main.judged);
         while let Some(op) = main.stream.next_op() {
-            self.step(main, op, phase_index, PhaseKind::Serial);
+            self.step(main, &mut judge, op, phase_index, PhaseKind::Serial);
         }
+        main.judged = judge.last_judged();
     }
 
     /// Runs all workers of a parallel phase to completion; returns each
     /// worker's end time, in the same order as `workers`.
     fn run_parallel(&mut self, workers: &mut [ThreadCtx], phase_index: u32) -> Vec<Cycles> {
         let mut ends = vec![0; workers.len()];
+        let mut judges: Vec<ForkJudge> = workers
+            .iter()
+            .map(|w| ForkJudge::fork(self.observer, w.id, w.judged))
+            .collect();
         // Min-heap on (clock, slot); slot as tiebreak keeps runs
         // deterministic when clocks collide.
         let mut heap: BinaryHeap<Reverse<(Cycles, usize)>> = workers
@@ -691,10 +708,11 @@ impl<'a> Execution<'a> {
             let horizon = heap.peek().map(|Reverse((clock, _))| *clock);
             let finished = {
                 let worker = &mut workers[slot];
+                let judge = &mut judges[slot];
                 loop {
                     match worker.stream.next_op() {
                         Some(op) => {
-                            self.step(worker, op, phase_index, PhaseKind::Parallel);
+                            self.step(worker, judge, op, phase_index, PhaseKind::Parallel);
                             if let Some(h) = horizon {
                                 if worker.clock >= h {
                                     break false;
@@ -716,8 +734,16 @@ impl<'a> Execution<'a> {
         ends
     }
 
-    /// Executes one operation on behalf of `thread`, advancing its clock.
-    fn step(&mut self, thread: &mut ThreadCtx, op: Op, phase_index: u32, phase_kind: PhaseKind) {
+    /// Executes one operation on behalf of `thread`, advancing its clock;
+    /// an access reaches the observer only when `judge` surfaces it.
+    fn step(
+        &mut self,
+        thread: &mut ThreadCtx,
+        judge: &mut ForkJudge,
+        op: Op,
+        phase_index: u32,
+        phase_kind: PhaseKind,
+    ) {
         match op {
             Op::Work(n) => {
                 thread.instructions += n;
@@ -732,28 +758,26 @@ impl<'a> Execution<'a> {
                 };
                 let line = addr.line(self.config.cache_line_size);
                 let result = self.directory.access(thread.core, line, kind, thread.clock);
-                let outcome = result.outcome;
                 let latency = result.latency();
-                let record = AccessRecord {
+                let verdict = judge.judge(thread.instructions);
+                let perturbation = verdict.charge(self.observer, || AccessRecord {
                     thread: thread.id,
                     core: thread.core,
                     addr,
                     kind,
-                    outcome,
+                    outcome: result.outcome,
                     latency,
                     start: thread.clock,
                     instrs_before: thread.instructions,
                     phase_index,
                     phase_kind,
-                };
+                });
                 thread.instructions += 1;
                 match kind {
                     AccessKind::Read => thread.reads += 1,
                     AccessKind::Write => thread.writes += 1,
                 }
-                thread.clock += latency;
-                let perturbation = self.observer.on_access(&record);
-                thread.clock += perturbation;
+                thread.clock += latency + perturbation;
             }
         }
     }

@@ -12,8 +12,9 @@
 //! * a discrete-event execution engine ([`Machine`]) that interleaves the
 //!   threads of a fork-join [`Program`] in exact global time order,
 //! * an [`ExecObserver`] hook through which profilers (the PMU layer)
-//!   watch every access and charge measurement perturbation back into
-//!   simulated time,
+//!   watch the accesses their sampling replica ([`ThreadSampler`]) marks
+//!   sampled and charge measurement perturbation back into simulated
+//!   time,
 //! * resumable runs ([`checkpoint`]): a sharded run can save its state after
 //!   the leading phases a layout repair cannot reach, and later runs of the
 //!   repaired program start from there.

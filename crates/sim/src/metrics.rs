@@ -29,8 +29,9 @@ pub const MERGED_EVENTS: &str = "sim.merged_events";
 /// event leads and settled hit-run reads folded in O(1) per run.
 pub const FOLDED_EVENTS: &str = "sim.folded_events";
 /// Counter name for accesses surfaced to the observer (sample delivery
-/// and every-access observers); in sharded runs a subset of
-/// [`MERGED_EVENTS`].
+/// and every-access observers) by the sharded passes, a subset of their
+/// [`MERGED_EVENTS`]. The classic loop's deliveries are not counted: its
+/// merged count already covers every access it steps.
 pub const SURFACED_EVENTS: &str = "sim.surfaced_events";
 /// Counter name for sharded classify-pass wall nanoseconds.
 pub const CLASSIFY_NS: &str = "sim.classify_ns";

@@ -1,7 +1,8 @@
 //! Hooks through which profilers observe a simulated execution.
 //!
 //! The execution engine invokes an [`ExecObserver`] for every thread
-//! lifecycle event, phase boundary and memory access. Observer callbacks may
+//! lifecycle event and phase boundary, and for the memory accesses the
+//! observer's [`SamplerFork`] asks to see. Observer callbacks may
 //! return *perturbation cycles* that the engine charges to the affected
 //! thread — this is how the PMU layer models its sampling trap cost and
 //! per-thread counter-setup cost, making profiler overhead (Fig. 4 of the
@@ -44,33 +45,44 @@ pub struct SampleJudgement {
     /// costs of sampling tags that landed on or before it, exactly as the
     /// observer's `on_access` would have returned for the same access.
     pub perturbation: Cycles,
-    /// Whether the access is sampled: sharded execution must surface it to
-    /// the observer through `on_access`, in merged global order.
+    /// Whether the access is sampled: the engine must surface it to the
+    /// observer through `on_access`, in global order.
     pub sampled: bool,
 }
 
 /// A deterministic per-thread replica of an observer's sampling decision,
-/// used by sharded execution (see [`crate::MachineConfig::shards`]).
+/// consulted by every execution path — the classic loop and sharded
+/// execution alike (see [`crate::MachineConfig::shards`]).
 ///
-/// The sharded engine precomputes each worker's events on a host thread,
-/// where the shared observer cannot be consulted. An observer whose
-/// sampling decision is a pure function of the thread's retired-instruction
-/// index (like an IBS/PEBS model) can hand out a replica per thread; the
-/// precompute pass calls [`ThreadSampler::judge`] for every access, in the
-/// thread's program order, and the engine then invokes `on_access` only for
-/// the accesses judged `sampled` — in exact merged order, so downstream
-/// consumers (detectors) observe the identical sample stream.
+/// An observer whose sampling decision is a pure function of the thread's
+/// retired-instruction index (like an IBS/PEBS model) can hand out a
+/// replica per thread. The engine calls [`ThreadSampler::judge`] for the
+/// thread's accesses in program order — the sharded engine on a host
+/// thread during precompute, where the shared observer cannot be consulted
+/// — and invokes `on_access` only for the accesses judged `sampled`, in
+/// exact global order, so downstream consumers (detectors) observe the
+/// identical sample stream while unsampled accesses cost the observer
+/// nothing.
 ///
 /// # Contract
 ///
-/// For the run to be bit-identical to unsharded execution the replica must
-/// agree with the observer: judging every access of a thread in order must
-/// mark exactly the accesses the observer would sample, and report exactly
-/// the perturbation its `on_access` would return at each access. When a
+/// For the run to be bit-identical to one that surfaces every access
+/// ([`SamplerFork::EveryAccess`]) the replica must agree with the
+/// observer: judging every access of a thread in order must mark exactly
+/// the accesses the observer would sample, and report exactly the
+/// perturbation its `on_access` would return at each access. When a
 /// replica is handed out, the engine charges the replica's perturbation and
 /// *ignores* the value returned by `on_access` for surfaced accesses (the
 /// observer may account trap costs at a coarser granularity internally —
 /// totals still match because every tag is charged exactly once).
+///
+/// A thread forked again (the main thread, at each serial phase) gets its
+/// new replica caught up first: the engine re-judges the last access an
+/// earlier replica of the thread judged and discards the verdict, so state
+/// the earlier replica advanced past the last surfaced access — tags it
+/// charged that the observer never saw — is not charged twice. A replica
+/// must therefore treat an access below its pending tag as unsampled and
+/// unperturbed, as [`ThreadSampler::next_tag`] already requires.
 pub trait ThreadSampler: Send {
     /// Judges the access occupying retired-instruction index
     /// `instrs_before` (the value [`AccessRecord::instrs_before`] would
@@ -90,13 +102,13 @@ pub trait ThreadSampler: Send {
     }
 }
 
-/// How an observer participates in sharded execution; returned by
+/// How an observer sees a thread's accesses; returned by
 /// [`ExecObserver::fork_sampler`].
 pub enum SamplerFork {
     /// The observer needs to see every access through `on_access` (the
-    /// conservative default): sharding still parallelizes event
-    /// precomputation, but every access is surfaced in merged order and the
-    /// observer's returned perturbation is used as-is.
+    /// conservative default): every access is surfaced in global order and
+    /// the observer's returned perturbation is used as-is (sharding still
+    /// parallelizes event precomputation).
     EveryAccess,
     /// The observer ignores accesses entirely and never perturbs
     /// ([`NullObserver`]): no access needs surfacing.
@@ -105,6 +117,115 @@ pub enum SamplerFork {
     /// the given deterministic judge; only judged-sampled accesses are
     /// surfaced.
     Replica(Box<dyn ThreadSampler>),
+}
+
+/// How the engine treats one access, as judged by the thread's
+/// [`SamplerFork`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Verdict {
+    /// Cycles to charge to the thread; `None` under
+    /// [`SamplerFork::EveryAccess`], where `on_access` returns them.
+    pub(crate) perturbation: Option<Cycles>,
+    /// Whether the access is surfaced to the observer through `on_access`.
+    pub(crate) surfaced: bool,
+}
+
+impl Verdict {
+    /// Surfaces the access built by `record` when the verdict says so and
+    /// returns the perturbation to charge: the replica's when one was
+    /// forked, otherwise what the observer returned.
+    #[inline]
+    pub(crate) fn charge(
+        self,
+        observer: &mut dyn ExecObserver,
+        record: impl FnOnce() -> AccessRecord,
+    ) -> Cycles {
+        if self.surfaced {
+            let returned = observer.on_access(&record());
+            self.perturbation.unwrap_or(returned)
+        } else {
+            self.perturbation
+                .expect("an unsurfaced access carries its judgement")
+        }
+    }
+}
+
+/// One thread's [`SamplerFork`] as every execution path consults it,
+/// access by access: the single place a fork turns into [`Verdict`]s.
+pub(crate) struct ForkJudge {
+    fork: SamplerFork,
+    /// Accesses below this instruction index are unsampled and unperturbed
+    /// (see [`ThreadSampler::next_tag`]); `u64::MAX` for a transparent
+    /// observer, `0` when every access must be surfaced.
+    next_tag: u64,
+    /// Instruction index of the last access the replica judged.
+    last_judged: Option<u64>,
+}
+
+impl ForkJudge {
+    /// Forks `thread`'s sampler from `observer`. `caught_up` is the last
+    /// access an earlier replica of the same thread judged
+    /// ([`ForkJudge::last_judged`]); the new replica re-judges it, verdict
+    /// discarded, to continue exactly where that one stopped.
+    pub(crate) fn fork(
+        observer: &mut dyn ExecObserver,
+        thread: ThreadId,
+        caught_up: Option<u64>,
+    ) -> ForkJudge {
+        let mut fork = observer.fork_sampler(thread);
+        let next_tag = match &mut fork {
+            SamplerFork::EveryAccess => 0,
+            SamplerFork::Transparent => u64::MAX,
+            SamplerFork::Replica(replica) => {
+                if let Some(index) = caught_up.filter(|&index| index >= replica.next_tag()) {
+                    replica.judge(index);
+                }
+                replica.next_tag()
+            }
+        };
+        ForkJudge {
+            fork,
+            next_tag,
+            last_judged: caught_up,
+        }
+    }
+
+    /// Judges the access at retired-instruction index `instrs_before`;
+    /// called for each of the thread's accesses in program order.
+    #[inline]
+    pub(crate) fn judge(&mut self, instrs_before: u64) -> Verdict {
+        if instrs_before < self.next_tag {
+            return Verdict {
+                perturbation: Some(0),
+                surfaced: false,
+            };
+        }
+        match &mut self.fork {
+            SamplerFork::EveryAccess => Verdict {
+                perturbation: None,
+                surfaced: true,
+            },
+            SamplerFork::Transparent => Verdict {
+                perturbation: Some(0),
+                surfaced: false,
+            },
+            SamplerFork::Replica(replica) => {
+                let judgement = replica.judge(instrs_before);
+                self.next_tag = replica.next_tag();
+                self.last_judged = Some(instrs_before);
+                Verdict {
+                    perturbation: Some(judgement.perturbation),
+                    surfaced: judgement.sampled,
+                }
+            }
+        }
+    }
+
+    /// Instruction index of the last access this judge's replica (or the
+    /// one it caught up with) judged; carried into the thread's next fork.
+    pub(crate) fn last_judged(&self) -> Option<u64> {
+        self.last_judged
+    }
 }
 
 impl std::fmt::Debug for SamplerFork {
@@ -156,24 +277,28 @@ pub trait ExecObserver {
         let _ = (index, kind, now);
     }
 
-    /// Called after every memory access. The returned cycles model the cost
-    /// of a sampling interrupt delivered to the thread (0 when the access
-    /// was not sampled).
+    /// Called after each memory access the thread's [`SamplerFork`]
+    /// surfaces: every access under [`SamplerFork::EveryAccess`] (the
+    /// default), only the judged-sampled ones under
+    /// [`SamplerFork::Replica`], none under [`SamplerFork::Transparent`].
+    /// The returned cycles model the cost of a sampling interrupt delivered
+    /// to the thread (0 when the access was not sampled); the engine charges
+    /// them only under `EveryAccess`.
     fn on_access(&mut self, record: &AccessRecord) -> Cycles {
         let _ = record;
         0
     }
 
-    /// Hands sharded execution a per-thread sampling replica (see
+    /// Hands the engine a per-thread sampling replica (see
     /// [`ThreadSampler`]). Called at each phase start for every phase
-    /// member (right after the phase's `on_thread_start` callbacks for
-    /// spawned workers; for the main thread of a serial phase it may be
-    /// called repeatedly, and the replica must continue from the thread's
-    /// *current* sampling state). The default keeps the observer fully
-    /// informed ([`SamplerFork::EveryAccess`]), which is always correct;
-    /// observers with a replicable sampling decision should return
-    /// [`SamplerFork::Replica`] so sharded runs skip the per-access
-    /// callback for unsampled accesses.
+    /// member, on every execution path (right after the phase's
+    /// `on_thread_start` callbacks for spawned workers; for the main thread
+    /// it is called again at every serial phase, and the engine catches
+    /// the new replica up as [`ThreadSampler`] describes). The default keeps
+    /// the observer fully informed ([`SamplerFork::EveryAccess`]), which is
+    /// always correct; observers with a replicable sampling decision should
+    /// return [`SamplerFork::Replica`] so runs skip the per-access callback
+    /// for unsampled accesses.
     fn fork_sampler(&mut self, thread: ThreadId) -> SamplerFork {
         let _ = thread;
         SamplerFork::EveryAccess

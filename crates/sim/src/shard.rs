@@ -2,9 +2,11 @@
 //!
 //! The classic engine ([`crate::exec`]) interleaves every thread of a
 //! parallel phase through one discrete-event loop: each memory access takes
-//! a heap scheduling step, a shared-directory lookup and an observer
-//! callback, all on one host thread. This module executes the same phase in
-//! two passes whose result is **bit-identical** to the classic loop:
+//! a heap scheduling step and a shared-directory probe on one host thread
+//! (the observer hears only of the accesses the thread's sampling replica
+//! judges sampled — the same judge this module uses). This module executes
+//! the same phase in two passes whose result is **bit-identical** to the
+//! classic loop:
 //!
 //! 1. **Precompute** (fanned out over host threads): each worker's access
 //!    stream is replayed *locally*. Three facts make most of the work
@@ -34,11 +36,12 @@
 //! stream declares its footprint as a few contiguous byte ranges
 //! ([`crate::footprint`]), a single boundary sweep classifies the union
 //! (`extent::ClassTable`), and the per-access hot loop resolves a
-//! line's class with one cached range comparison. Streams without a
-//! declared footprint fall back to materialisation, and their touched
-//! lines enter the sweep as coalesced one-line extents — interleaved
-//! footprints degrade to exactly the per-line behaviour of PR 3, never to
-//! an incorrect classification.
+//! line's class with a range comparison against the two most recently
+//! used extents (a private stream interleaved with one shared object stays
+//! cached). Streams without a declared footprint fall back to
+//! materialisation, and their touched lines enter the sweep as coalesced
+//! one-line extents — interleaved footprints degrade to exactly that
+//! per-line behaviour, never to an incorrect classification.
 //!
 //! ## Write-private folding
 //!
@@ -101,7 +104,7 @@ use crate::extent::{extents_from_touched, ClassTable, ExtClass, LineExtent, Rang
 use crate::footprint::Footprint;
 use crate::latency::{AccessOutcome, LatencyModel};
 use crate::metrics::SimCounters;
-use crate::observer::{AccessRecord, ExecObserver, SamplerFork};
+use crate::observer::{AccessRecord, ExecObserver, ForkJudge, Verdict};
 use crate::program::{AccessStream, Op, OpsStream};
 use crate::schedule::{SchedulePolicy, ScheduleRng};
 use crate::types::{AccessKind, Addr, CacheLineId, CoreId, Cycles, PhaseKind, ThreadId};
@@ -160,11 +163,13 @@ enum EvKind {
         instrs_before: u64,
         perturbation: Option<Cycles>,
     },
-    /// A run of unsampled read-shared hits (see the module docs). The line
-    /// span and lead sum let the merge fold the run in O(1) once every
-    /// line in the span has settled.
+    /// A run of unsampled read-shared hits (see the module docs): the
+    /// reads `first..end` of the worker's [`WorkerPlan::hit_reads`]. The
+    /// line span and lead sum let the merge fold the run in O(1) once
+    /// every line in the span has settled.
     HitRun {
-        reads: Box<[HitRead]>,
+        first: usize,
+        end: usize,
         min_line: u64,
         max_line: u64,
     },
@@ -457,6 +462,9 @@ impl PrivateSim {
 /// Precompute output of one worker.
 struct WorkerPlan {
     events: Vec<Ev>,
+    /// Every hit run's reads, back to back in event order (one buffer per
+    /// worker instead of an allocation per run).
+    hit_reads: Vec<HitRead>,
     instructions: u64,
     reads: u64,
     writes: u64,
@@ -602,11 +610,7 @@ pub(crate) fn run_serial_sharded(
     let latency = &config.latency;
     let cpi = latency.cycles_per_instruction;
     let core = main.core;
-    let mut fork = observer.fork_sampler(main.id);
-    let mut next_tag: u64 = match &fork {
-        SamplerFork::Replica(replica) => replica.next_tag(),
-        _ => 0,
-    };
+    let mut judge = ForkJudge::fork(observer, main.id, main.judged);
     let mut sim = PrivateSim::new(core);
     let mut next_sequential: u64 = directory
         .last_line_for(core)
@@ -624,46 +628,31 @@ pub(crate) fn run_serial_sharded(
             Op::Read(addr) | Op::Write(addr) => {
                 let write = matches!(op, Op::Write(_));
                 let line = addr.line(line_size);
-                let (perturbation, surfaced) = match &mut fork {
-                    SamplerFork::Transparent => (Some(0), false),
-                    SamplerFork::EveryAccess => (None, true),
-                    SamplerFork::Replica(replica) => {
-                        if main.instructions >= next_tag {
-                            let judgement = replica.judge(main.instructions);
-                            next_tag = replica.next_tag();
-                            (Some(judgement.perturbation), judgement.sampled)
-                        } else {
-                            (Some(0), false)
-                        }
-                    }
-                };
+                let verdict = judge.judge(main.instructions);
                 let sequential = next_sequential == line.0;
                 next_sequential = line.0.wrapping_add(1);
                 let (outcome, cost) = sim.access(directory, latency, core, line, write, sequential);
-                let perturb = if surfaced {
+                if verdict.surfaced {
                     surfaced_count += 1;
-                    let record = AccessRecord {
-                        thread: main.id,
-                        core,
-                        addr,
-                        kind: if write {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        },
-                        outcome,
-                        latency: cost,
-                        start: clock,
-                        instrs_before: main.instructions,
-                        phase_index,
-                        phase_kind: PhaseKind::Serial,
-                    };
-                    let returned = observer.on_access(&record);
-                    perturbation.unwrap_or(returned)
                 } else {
                     folded += 1;
-                    perturbation.expect("unsurfaced access has judgement")
-                };
+                }
+                let perturb = verdict.charge(observer, || AccessRecord {
+                    thread: main.id,
+                    core,
+                    addr,
+                    kind: if write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                    outcome,
+                    latency: cost,
+                    start: clock,
+                    instrs_before: main.instructions,
+                    phase_index,
+                    phase_kind: PhaseKind::Serial,
+                });
                 clock += cost + perturb;
                 main.instructions += 1;
                 if write {
@@ -679,6 +668,7 @@ pub(crate) fn run_serial_sharded(
     sim.write_back(directory);
     directory.set_last_line(core, last_line);
     main.clock = clock;
+    main.judged = judge.last_judged();
     let counters = SimCounters::of(&config.obs);
     counters.count_folded(folded);
     counters.count_merged(surfaced_count);
@@ -708,9 +698,9 @@ pub(crate) fn run_parallel_sharded(
 
     // Sampling replicas, handed out after every member's on_thread_start
     // (the engine called those while spawning, before this function).
-    let forks: Vec<SamplerFork> = workers
+    let judges: Vec<ForkJudge> = workers
         .iter()
-        .map(|w| observer.fork_sampler(w.id))
+        .map(|w| ForkJudge::fork(observer, w.id, w.judged))
         .collect();
 
     // Pass 1a: footprints. Streams that declare one skip materialisation
@@ -721,9 +711,15 @@ pub(crate) fn run_parallel_sharded(
         .map(|w| std::mem::replace(&mut w.stream, Box::new(OpsStream::new(Vec::new()))))
         .collect();
     let footprints: Vec<Footprint> = streams.iter().map(|s| s.footprint()).collect();
+    // Only materialisation is work worth a host thread; wrapping a bounded
+    // stream is not.
+    let materialising = footprints
+        .iter()
+        .filter(|f| matches!(f, Footprint::Unknown))
+        .count();
     let feeds: Vec<OpFeed> = parallel_map(
         streams.into_iter().zip(&footprints).collect(),
-        shards,
+        if materialising > 1 { shards } else { 1 },
         &|_slot, (stream, footprint)| match footprint {
             Footprint::Bounded(_) => OpFeed::Stream {
                 stream,
@@ -751,13 +747,13 @@ pub(crate) fn run_parallel_sharded(
     span_precompute.attr_u64("shards", shards as u64);
 
     // Pass 1b: per-worker event precomputation, fanned out on host threads.
-    let inputs: Vec<(OpFeed, SamplerFork, u32, CoreId, Option<CacheLineId>)> = {
+    let inputs: Vec<(OpFeed, ForkJudge, u32, CoreId, Option<CacheLineId>)> = {
         let mut inputs = Vec::with_capacity(workers.len());
-        let mut forks = forks.into_iter();
+        let mut judges = judges.into_iter();
         for (slot, (feed, worker)) in feeds.into_iter().zip(workers.iter()).enumerate() {
             inputs.push((
                 feed,
-                forks.next().expect("fork per worker"),
+                judges.next().expect("judge per worker"),
                 slot as u32,
                 worker.core,
                 directory.last_line_for(worker.core),
@@ -769,12 +765,12 @@ pub(crate) fn run_parallel_sharded(
     let table_ref = &table;
     let directory_ref: &Directory = directory;
     let mut plans: Vec<WorkerPlan> = parallel_map(inputs, shards, &|_slot, input| {
-        let (feed, fork, me, core, last_line) = input;
+        let (feed, judge, me, core, last_line) = input;
         precompute_worker(
             me,
             core,
             feed,
-            fork,
+            judge,
             last_line,
             table_ref,
             directory_ref,
@@ -926,16 +922,16 @@ fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
 /// every access through the sampling replica, and folds everything that
 /// needs no global time into event leads.
 ///
-/// A line's class is resolved through the phase's extent table with one
-/// cached range comparison in the common case; private lines run through
-/// [`PrivateSim`]. (Serial phases do not come through here — they use the
-/// fused loop in [`run_serial_sharded`].)
+/// A line's class is resolved through the phase's extent table with a
+/// range comparison against two cached extents in the common case; private
+/// lines run through [`PrivateSim`]. (Serial phases do not come through
+/// here — they use the fused loop in [`run_serial_sharded`].)
 #[allow(clippy::too_many_arguments)]
 fn precompute_worker(
     me: u32,
     core: CoreId,
     mut feed: OpFeed,
-    mut fork: SamplerFork,
+    mut judge: ForkJudge,
     last_line: Option<CacheLineId>,
     table: &ClassTable,
     directory: &Directory,
@@ -952,37 +948,43 @@ fn precompute_worker(
     // `last.0 + 1` of the previously touched line; u64::MAX when none.
     let mut next_sequential: u64 = last_line.map_or(u64::MAX, |l| l.0.wrapping_add(1));
     let mut final_line = last_line;
-    // Cached classified extent (the extent table's hot path).
+    // The two most recently used classified extents (the extent table's
+    // hot path): inner loops commonly alternate between a private stream
+    // and one shared object, which a single cached extent would miss on
+    // every access.
     let extents = table.extents();
     let (mut cur_start, mut cur_end, mut cur_class) = (1u64, 0u64, ExtClass::WriteShared);
+    let mut other = (1u64, 0u64, ExtClass::WriteShared);
+    // The current extent is a contract-violation stand-in; it never moves
+    // to `other`, so every return to the line is looked up (and counted).
+    let mut cur_violation = false;
     // Read-shared lines this worker has first-touched.
     let mut rs_touched: RangeList = RangeList::default();
     let mut rs_touched_spill: FastSet<CacheLineId> = FastSet::default();
     let mut rs_first_touches: Vec<(CacheLineId, bool)> = Vec::new();
-    // Pending sampling judgement threshold (see ThreadSampler::next_tag).
-    let mut next_tag: u64 = match &fork {
-        SamplerFork::Replica(replica) => replica.next_tag(),
-        _ => 0,
-    };
-    // Open hit run (unsampled read-shared hits) plus the lead before it.
-    let mut run: Vec<HitRead> = Vec::new();
+    // Hit-run reads; the open run (unsampled read-shared hits) is
+    // `hit_reads[run_first..]`, `run_lead` the lead before it.
+    let mut hit_reads: Vec<HitRead> = Vec::new();
+    let mut run_first = 0usize;
     let mut run_lead: Cycles = 0;
     let mut run_cum: Cycles = 0;
     let (mut run_min, mut run_max) = (u64::MAX, 0u64);
 
     macro_rules! flush_run {
         () => {
-            if !run.is_empty() {
+            if hit_reads.len() > run_first {
                 events.push(Ev {
                     lead: run_lead,
                     kind: EvKind::HitRun {
-                        reads: std::mem::take(&mut run).into_boxed_slice(),
+                        first: run_first,
+                        end: hit_reads.len(),
                         min_line: run_min,
                         max_line: run_max,
                     },
                 });
                 #[allow(unused_assignments)]
                 {
+                    run_first = hit_reads.len();
                     run_cum = 0;
                     run_min = u64::MAX;
                     run_max = 0;
@@ -1005,19 +1007,10 @@ fn precompute_worker(
             AccessKind::Read
         };
         let line = addr.line(line_size);
-        let (perturbation, surfaced) = match &mut fork {
-            SamplerFork::Transparent => (Some(0), false),
-            SamplerFork::EveryAccess => (None, true),
-            SamplerFork::Replica(replica) => {
-                if instructions >= next_tag {
-                    let judgement = replica.judge(instructions);
-                    next_tag = replica.next_tag();
-                    (Some(judgement.perturbation), judgement.sampled)
-                } else {
-                    (Some(0), false)
-                }
-            }
-        };
+        let Verdict {
+            perturbation,
+            surfaced,
+        } = judge.judge(instructions);
         let sequential = next_sequential == line.0;
         next_sequential = line.0.wrapping_add(1);
         final_line = Some(line);
@@ -1029,11 +1022,21 @@ fn precompute_worker(
         }
 
         if !(cur_start <= line.0 && line.0 < cur_end) {
-            match table.find(line) {
-                Some(idx) => {
+            let previous = (cur_start, cur_end, cur_class);
+            let found = if other.0 <= line.0 && line.0 < other.1 {
+                Some(other)
+            } else {
+                table.find(line).map(|idx| {
                     let extent = extents[idx];
-                    (cur_start, cur_end, cur_class) = (extent.start, extent.end, extent.class);
-                }
+                    (extent.start, extent.end, extent.class)
+                })
+            };
+            if !cur_violation {
+                other = previous;
+            }
+            cur_violation = found.is_none();
+            match found {
+                Some(extent) => (cur_start, cur_end, cur_class) = extent,
                 None => {
                     // Contract violation: the line lies outside every
                     // declared footprint, so some stream's
@@ -1120,12 +1123,12 @@ fn precompute_worker(
                 } else {
                     // Join (or open) the hit run; perturbation lands after
                     // the hit, i.e. in the next lead.
-                    if run.is_empty() {
+                    if hit_reads.len() == run_first {
                         run_lead = std::mem::take(&mut lead);
                     } else {
                         run_cum += std::mem::take(&mut lead);
                     }
-                    run.push(HitRead {
+                    hit_reads.push(HitRead {
                         cum_lead: run_cum,
                         addr,
                     });
@@ -1161,6 +1164,7 @@ fn precompute_worker(
 
     WorkerPlan {
         events,
+        hit_reads,
         instructions,
         reads,
         writes,
@@ -1178,6 +1182,7 @@ struct MergeWorker<'a> {
     core: CoreId,
     clock: Cycles,
     events: std::slice::Iter<'a, Ev>,
+    hit_reads: &'a [HitRead],
     pending: Option<&'a Ev>,
     /// Non-zero when `pending` is a hit run resumed at this read index.
     run_cursor: usize,
@@ -1189,7 +1194,9 @@ impl<'a> MergeWorker<'a> {
         let ev = self.pending.expect("live worker has a pending event");
         if self.run_cursor > 0 {
             match &ev.kind {
-                EvKind::HitRun { reads, .. } => self.clock + run_lead_at(reads, self.run_cursor),
+                EvKind::HitRun { first, end, .. } => {
+                    self.clock + run_lead_at(&self.hit_reads[*first..*end], self.run_cursor)
+                }
                 _ => unreachable!("run cursor only on hit runs"),
             }
         } else {
@@ -1239,6 +1246,7 @@ fn merge(
                 core: ctx.core,
                 clock: ctx.clock,
                 events,
+                hit_reads: &plan.hit_reads,
                 pending,
                 run_cursor: 0,
             }
@@ -1328,10 +1336,12 @@ fn merge(
                     w.clock += latency_cycles + perturb;
                 }
                 EvKind::HitRun {
-                    reads,
+                    first,
+                    end,
                     min_line,
                     max_line,
                 } => {
+                    let reads = &w.hit_reads[*first..*end];
                     let mut cursor = w.run_cursor;
                     if cursor == 0 {
                         w.clock += ev.lead;
@@ -1486,6 +1496,7 @@ fn merge_perturbed(
                 core: ctx.core,
                 clock: ctx.clock,
                 events,
+                hit_reads: &plan.hit_reads,
                 pending,
                 run_cursor: 0,
             }
@@ -1611,10 +1622,12 @@ fn merge_perturbed(
                 w.clock += latency_cycles + perturb;
             }
             EvKind::HitRun {
-                reads,
+                first,
+                end,
                 min_line,
                 max_line,
             } => {
+                let reads = &w.hit_reads[*first..*end];
                 // One selection replays the whole run (hit runs touch
                 // nothing another worker can contend on, so splitting
                 // them across selections would not change any outcome).
@@ -1702,24 +1715,22 @@ fn surface(
     surfaced: bool,
     perturbation: Option<Cycles>,
 ) -> Cycles {
-    if surfaced {
-        let record = AccessRecord {
-            thread: w.id,
-            core: w.core,
-            addr,
-            kind,
-            outcome,
-            latency,
-            start: w.clock,
-            instrs_before,
-            phase_index,
-            phase_kind: PhaseKind::Parallel,
-        };
-        let returned = observer.on_access(&record);
-        perturbation.unwrap_or(returned)
-    } else {
-        perturbation.expect("unsurfaced access carries its judgement")
+    Verdict {
+        perturbation,
+        surfaced,
     }
+    .charge(observer, || AccessRecord {
+        thread: w.id,
+        core: w.core,
+        addr,
+        kind,
+        outcome,
+        latency,
+        start: w.clock,
+        instrs_before,
+        phase_index,
+        phase_kind: PhaseKind::Parallel,
+    })
 }
 
 /// Applies `f` to every item on up to `threads` scoped host threads,

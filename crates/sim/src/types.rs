@@ -75,7 +75,8 @@ impl Addr {
     /// ```
     pub fn line(self, line_size: u64) -> CacheLineId {
         debug_assert!(line_size.is_power_of_two());
-        CacheLineId(self.0 / line_size)
+        // A shift, not a division: this runs once per simulated access.
+        CacheLineId(self.0 >> line_size.trailing_zeros())
     }
 
     /// Byte offset of this address within its cache line.

@@ -73,6 +73,36 @@ fn sharded_executor_counts_fallbacks_instead_of_panicking() {
 }
 
 #[test]
+fn every_return_to_an_undeclared_line_is_counted() {
+    // The worker alternates between its declared word and an undeclared
+    // line: the extent cache must not remember the undeclared line, so each
+    // of its three accesses is looked up and counted.
+    let declared = Addr(0x4000_0000);
+    let undeclared = Addr(0x4000_2000);
+    let program = ProgramBuilder::new("alternating")
+        .parallel(vec![ThreadSpec::new(
+            "liar",
+            Liar {
+                ops: [declared, undeclared]
+                    .repeat(3)
+                    .into_iter()
+                    .map(Op::Write)
+                    .collect(),
+                claimed: vec![ByteExtent::word(declared, true)],
+            },
+        )])
+        .build();
+    let obs = ObsHandle::fresh_untraced();
+    let machine = Machine::new(
+        MachineConfig::default()
+            .with_shards(2)
+            .with_obs(obs.clone()),
+    );
+    machine.run(program, &mut NullObserver);
+    assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 3);
+}
+
+#[test]
 fn classic_loop_ignores_footprints_without_audit() {
     // The single-threaded loop never consults footprints; without audit
     // mode the same lying program runs violation-free.
