@@ -26,19 +26,20 @@
 //! 5. **Degraded repair** — with 20% drops *and* ¼ capacity, the
 //!    fixpoint repair loop still converges to zero residual.
 //!
-//! Usage: `robustness_sweep [--workloads a,b,c] [--threads N]
-//! [--scale F] [--period P] [--seed S] [--out FILE] [--check]`
+//! Usage: see [`USAGE`].
 
-use cheetah_core::{
-    CheetahConfig, CheetahProfiler, CorruptFields, FaultPlan, ObjectOrigin, Profile,
+use cheetah_bench::{
+    flag_value, flag_workloads, origin_label, report_failures, run_cheetah, usage_exit,
+    MIN_IMPROVEMENT,
 };
+use cheetah_core::{CheetahConfig, CorruptFields, FaultPlan, Profile};
 use cheetah_repair::{converge, ConvergeConfig, ValidationHarness};
 use cheetah_sim::{Machine, MachineConfig};
 use cheetah_workloads::{find, App, AppConfig};
 use std::fmt::Write as _;
-use std::io::Write as _;
 
-const MIN_IMPROVEMENT: f64 = 1.005;
+const USAGE: &str = "robustness_sweep [--workloads a,b,c] [--threads N] [--scale F] \
+                     [--period P] [--seed S] [--out FILE] [--check]";
 
 struct Args {
     workloads: Vec<&'static App>,
@@ -50,7 +51,7 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
         workloads: ["microbench", "linear_regression", "streamcluster"]
             .iter()
@@ -66,76 +67,37 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workloads" => {
-                let list = args.next().expect("--workloads needs a list");
-                parsed.workloads = list
-                    .split(',')
-                    .map(|name| {
-                        find(name.trim()).unwrap_or_else(|| panic!("unknown workload {name}"))
-                    })
-                    .collect();
-            }
-            "--threads" => {
-                parsed.threads = args
-                    .next()
-                    .expect("--threads needs N")
-                    .parse()
-                    .expect("threads")
-            }
-            "--scale" => {
-                parsed.scale = args
-                    .next()
-                    .expect("--scale needs a fraction")
-                    .parse()
-                    .expect("scale")
-            }
-            "--period" => {
-                parsed.period = args
-                    .next()
-                    .expect("--period needs P")
-                    .parse()
-                    .expect("period")
-            }
-            "--seed" => parsed.seed = args.next().expect("--seed needs S").parse().expect("seed"),
-            "--out" => parsed.out = args.next().expect("--out needs a path"),
+            "--workloads" => parsed.workloads = flag_workloads(&mut args, &arg)?,
+            "--threads" => parsed.threads = flag_value(&mut args, &arg)?,
+            "--scale" => parsed.scale = flag_value(&mut args, &arg)?,
+            "--period" => parsed.period = flag_value(&mut args, &arg)?,
+            "--seed" => parsed.seed = flag_value(&mut args, &arg)?,
+            "--out" => parsed.out = flag_value(&mut args, &arg)?,
             "--check" => parsed.check = true,
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 /// The fault-plan matrix, every preset reseeded to `seed`.
 fn fault_presets(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    let base = FaultPlan::none();
     vec![
-        (
-            "drop10",
-            FaultPlan {
-                drop_per_mille: 100,
-                ..base.clone()
-            },
-        ),
-        (
-            "drop20",
-            FaultPlan {
-                drop_per_mille: 200,
-                ..base.clone()
-            },
-        ),
+        ("drop10", FaultPlan::drops(100)),
+        ("drop20", FaultPlan::drops(200)),
         (
             "burst",
             FaultPlan {
                 burst_every: 64,
                 burst_len: 8,
-                ..base.clone()
+                ..FaultPlan::none()
             },
         ),
         (
             "reorder",
             FaultPlan {
                 reorder_window: 16,
-                ..base.clone()
+                ..FaultPlan::none()
             },
         ),
         (
@@ -143,25 +105,24 @@ fn fault_presets(seed: u64) -> Vec<(&'static str, FaultPlan)> {
             FaultPlan {
                 corrupt_per_mille: 50,
                 corrupt_fields: CorruptFields::all(),
-                ..base.clone()
+                ..FaultPlan::none()
             },
         ),
         (
             "duplicate",
             FaultPlan {
                 duplicate_per_mille: 50,
-                ..base.clone()
+                ..FaultPlan::none()
             },
         ),
         (
             "chaos",
             FaultPlan {
-                drop_per_mille: 100,
                 reorder_window: 8,
                 duplicate_per_mille: 30,
                 corrupt_per_mille: 30,
                 corrupt_fields: CorruptFields::all(),
-                ..base.clone()
+                ..FaultPlan::drops(100)
             },
         ),
     ]
@@ -188,17 +149,7 @@ fn profile_under(
     shards: u32,
 ) -> Profile {
     let machine = Machine::new(harness.machine().config().clone().with_shards(shards));
-    let instance = app.build(config);
-    let mut profiler = CheetahProfiler::new(harness.non_perturbing_config(), &instance.space);
-    machine.run(instance.program, &mut profiler);
-    profiler.finish()
-}
-
-fn label_of(origin: &ObjectOrigin) -> String {
-    match origin {
-        ObjectOrigin::Heap { callsite, .. } => callsite.to_string(),
-        ObjectOrigin::Global { name } => name.clone(),
-    }
+    run_cheetah(&machine, app, config, harness.non_perturbing_config()).1
 }
 
 /// Labels of the significant false-sharing instances, best first.
@@ -206,12 +157,12 @@ fn significant_labels(profile: &Profile) -> Vec<String> {
     profile
         .significant_false_sharing(MIN_IMPROVEMENT)
         .iter()
-        .map(|assessed| label_of(&assessed.instance.object.origin))
+        .map(|assessed| origin_label(&assessed.instance.object.origin))
         .collect()
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|error| usage_exit(USAGE, &error));
     let presets = fault_presets(args.seed);
     let mut failures: Vec<String> = Vec::new();
 
@@ -420,21 +371,12 @@ fn main() {
 
     json.push_str(&workload_json.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    let mut file = std::fs::File::create(&args.out).expect("create robustness artifact");
-    file.write_all(json.as_bytes()).expect("write json");
+    std::fs::write(&args.out, json).expect("write robustness artifact");
     println!("wrote {}", args.out);
-
-    if !failures.is_empty() {
-        eprintln!("\nrobustness failures:");
-        for failure in &failures {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    } else if args.check {
-        println!(
-            "check passed: transparent when idle, deterministic per seed, \
-             shard-independent, top finding survives ¼ capacity, degraded \
-             repair converges"
-        );
-    }
+    report_failures(
+        args.check,
+        &failures,
+        "transparent when idle, deterministic per seed, shard-independent, \
+         top finding survives ¼ capacity, degraded repair converges",
+    );
 }

@@ -19,20 +19,20 @@
 //! schedule-hidden false sharing yields no hidden finding, or if its
 //! worst-case repair fails to converge.
 //!
-//! Usage: `schedule_explore [--workloads a,b,c] [--seeds 1,2,3,4]
-//! [--threads N] [--scale F] [--period P] [--out FILE] [--check]`
-//! (`--schedule-seed` is accepted as an alias for `--seeds`)
+//! Usage: see [`USAGE`].
 
-use cheetah_core::{
-    hidden_findings, union_findings, CheetahConfig, CheetahProfiler, ObjectOrigin, Profile,
+use cheetah_bench::{
+    flag_list, flag_value, flag_workloads, origin_label, report_failures, run_cheetah, usage_exit,
+    MIN_IMPROVEMENT,
 };
+use cheetah_core::{hidden_findings, union_findings, CheetahConfig, Profile};
 use cheetah_repair::{converge_worst_case, schedule_set, ConvergeConfig, ValidationHarness};
 use cheetah_sim::{Machine, MachineConfig, SchedulePolicy};
 use cheetah_workloads::{find, App, AppConfig, Expectation};
 use std::fmt::Write as _;
-use std::io::Write as _;
 
-const MIN_IMPROVEMENT: f64 = 1.005;
+const USAGE: &str = "schedule_explore [--workloads a,b,c] [--seeds 1,2,3,4] [--threads N] \
+                     [--scale F] [--period P] [--out FILE] [--check]";
 
 struct Args {
     workloads: Vec<&'static App>,
@@ -44,7 +44,7 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
         workloads: ["staggered_writers", "microbench", "linear_regression"]
             .iter()
@@ -60,77 +60,26 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workloads" => {
-                let list = args.next().expect("--workloads needs a list");
-                parsed.workloads = list
-                    .split(',')
-                    .map(|name| {
-                        find(name.trim()).unwrap_or_else(|| panic!("unknown workload {name}"))
-                    })
-                    .collect();
-            }
-            "--seeds" | "--schedule-seed" => {
-                let list = args.next().expect("--seeds needs a list");
-                parsed.seeds = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("seed"))
-                    .collect();
-            }
-            "--threads" => {
-                parsed.threads = args
-                    .next()
-                    .expect("--threads needs N")
-                    .parse()
-                    .expect("threads")
-            }
-            "--scale" => {
-                parsed.scale = args
-                    .next()
-                    .expect("--scale needs a fraction")
-                    .parse()
-                    .expect("scale")
-            }
-            "--period" => {
-                parsed.period = args
-                    .next()
-                    .expect("--period needs P")
-                    .parse()
-                    .expect("period")
-            }
-            "--out" => parsed.out = args.next().expect("--out needs a path"),
+            "--workloads" => parsed.workloads = flag_workloads(&mut args, &arg)?,
+            "--seeds" => parsed.seeds = flag_list(&mut args, &arg)?,
+            "--threads" => parsed.threads = flag_value(&mut args, &arg)?,
+            "--scale" => parsed.scale = flag_value(&mut args, &arg)?,
+            "--period" => parsed.period = flag_value(&mut args, &arg)?,
+            "--out" => parsed.out = flag_value(&mut args, &arg)?,
             "--check" => parsed.check = true,
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    assert!(!parsed.seeds.is_empty(), "need at least one seed");
-    parsed
-}
-
-fn harness(period: u64) -> ValidationHarness {
-    ValidationHarness::calibrated(
-        Machine::new(MachineConfig::with_cores(8)),
-        CheetahConfig::scaled(period),
-    )
-}
-
-/// One profiled run; the rendered report is the determinism witness.
-fn profile_under(
-    harness: &ValidationHarness,
-    app: &App,
-    config: &AppConfig,
-    policy: SchedulePolicy,
-) -> Profile {
-    let machine = Machine::new(harness.machine().config().clone().with_schedule(policy));
-    let instance = app.build(config);
-    let mut profiler = CheetahProfiler::new(harness.non_perturbing_config(), &instance.space);
-    machine.run(instance.program, &mut profiler);
-    profiler.finish()
+    Ok(parsed)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|error| usage_exit(USAGE, &error));
     let schedules = schedule_set(&args.seeds);
-    let harness = harness(args.period);
+    let harness = ValidationHarness::calibrated(
+        Machine::new(MachineConfig::with_cores(8)),
+        CheetahConfig::scaled(args.period),
+    );
     let mut failures: Vec<String> = Vec::new();
 
     println!(
@@ -170,10 +119,13 @@ fn main() {
         let mut runs: Vec<(SchedulePolicy, Profile)> = Vec::new();
         let mut schedule_json: Vec<String> = Vec::new();
         for &policy in &schedules {
-            let profile = profile_under(&harness, app, &config, policy);
+            let machine = Machine::new(harness.machine().config().clone().with_schedule(policy));
+            let profile_once =
+                || run_cheetah(&machine, app, &config, harness.non_perturbing_config()).1;
+            let profile = profile_once();
             if args.check {
                 // Determinism witness: a second run must be bit-identical.
-                let again = profile_under(&harness, app, &config, policy);
+                let again = profile_once();
                 if profile.render_report() != again.render_report()
                     || profile.total_cycles != again.total_cycles
                     || profile.total_samples != again.total_samples
@@ -251,13 +203,10 @@ fn main() {
         let finding_json: Vec<String> = union
             .iter()
             .map(|f| {
-                let label = match &f.object.origin {
-                    ObjectOrigin::Heap { callsite, .. } => callsite.to_string(),
-                    ObjectOrigin::Global { name } => name.clone(),
-                };
                 format!(
-                    "        {{\"label\": \"{label}\", \"worst_improvement\": {:.4}, \
+                    "        {{\"label\": \"{}\", \"worst_improvement\": {:.4}, \
                      \"worst_schedule\": \"{}\", \"hidden\": {}, \"sightings\": {}}}",
+                    origin_label(&f.object.origin),
                     f.worst_improvement(),
                     f.worst_schedule(),
                     f.is_hidden(),
@@ -282,20 +231,11 @@ fn main() {
 
     json.push_str(&workload_json.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    let mut file = std::fs::File::create(&args.out).expect("create findings artifact");
-    file.write_all(json.as_bytes()).expect("write json");
+    std::fs::write(&args.out, json).expect("write findings artifact");
     println!("wrote {}", args.out);
-
-    if !failures.is_empty() {
-        eprintln!("\nschedule exploration failures:");
-        for failure in &failures {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    } else if args.check {
-        println!(
-            "check passed: all schedules deterministic, hidden expectations met, \
-             worst-case repair converged"
-        );
-    }
+    report_failures(
+        args.check,
+        &failures,
+        "all schedules deterministic, hidden expectations met, worst-case repair converged",
+    );
 }

@@ -25,12 +25,19 @@
 //! sharded passes' wall-clock split as a nested `pass_breakdown` object
 //! and the schedule policy the cell ran under (always `"observed"` here —
 //! perturbed-schedule sweeps live in `schedule_explore`).
-//! With `--check`, exits nonzero if any thread-count row is slower sharded
-//! (shards >= 2) than single-threaded beyond the tolerance, or if any
-//! sharded cell reports a zeroed three-pass breakdown (a silently
-//! uninstrumented code path) — the CI regression gates for the sharded
-//! execution path. `bench_compare --sim` adds the cross-commit gate on the
-//! recorded event counts.
+//! With `--check`, exits nonzero if any gate below fails — the CI
+//! regression gates for the sharded execution path:
+//!
+//! - a thread-count row runs slower sharded (shards >= 2) than
+//!   single-threaded by more than [`ROW_TOLERANCE`];
+//! - a sharded cell reports a zeroed three-pass breakdown (a silently
+//!   uninstrumented code path);
+//! - a sharded cell of a [`GATED`] workload runs below
+//!   [`CELL_SPEEDUP_FLOOR`] times the classic loop;
+//! - against the committed `BENCH_sim.json` the run is about to overwrite,
+//!   a sharded cell of a [`GATED`] workload replays more than
+//!   [`EVENT_SLACK`] above the recorded `ordered_events`, or a sharded
+//!   baseline cell is missing from the fresh run.
 //!
 //! With `--trace out.json` the first cell is re-run at the highest shard
 //! count through a tracing [`ObsHandle`] and the phase / classify /
@@ -42,21 +49,43 @@
 //! first phase whose hashes differ — turning "bit-identity assert failed
 //! somewhere" into a one-line diagnosis.
 //!
-//! Usage: `sim_throughput [--shards 1,2,4] [--reps N] [--tolerance 0.10]
-//! [--check] [--trace out.json] [--journal out.jsonl]
-//! [--locate-divergence]`
+//! Usage: see [`USAGE`].
 
+use cheetah_bench::{
+    flag_list, flag_value, report_failures, run_cheetah, usage_exit, MIN_IMPROVEMENT,
+};
 use cheetah_core::{CheetahConfig, CheetahProfiler};
+use cheetah_obs::json::{self, Value};
 use cheetah_obs::ObsHandle;
 use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver, RunReport};
 use cheetah_workloads::{find, table2_matrix, SweepCell, SWEEP_THREAD_COUNTS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::time::Instant;
 
+const USAGE: &str = "sim_throughput [--shards 1,2,4] [--reps N] [--check] [--trace out.json] \
+                     [--journal out.jsonl] [--locate-divergence]";
+
+/// The artifact this bin writes, and under `--check` the baseline it
+/// gates against before overwriting it.
+const BENCH_PATH: &str = "BENCH_sim.json";
+
+/// The workloads whose sharded cells are gated: the streaming shapes
+/// extent classification exists for.
+const GATED: [&str; 2] = ["streamcluster", "streaming_histogram"];
+
+/// Slack on a gated cell's `ordered_events` over the baseline, for benign
+/// reclassifications (the counts are deterministic).
+const EVENT_SLACK: f64 = 0.05;
+
+/// The lowest speedup over the classic loop a gated sharded cell may show.
+const CELL_SPEEDUP_FLOOR: f64 = 0.90;
+
+/// How much slower than single-threaded a sharded thread-count row may run.
+const ROW_TOLERANCE: f64 = 0.10;
+
 /// The execution counters one cell's registry accumulated.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Events {
     merged: u64,
     folded: u64,
@@ -136,9 +165,7 @@ fn phase_hashes(cell: &SweepCell, shards: u32) -> Vec<(u64, String, u64)> {
             .with_witness(true),
     );
     let cheetah = CheetahConfig::scaled(cell.period).with_obs(obs.clone());
-    let instance = cell.app.build(&cell.app_config());
-    let mut profiler = CheetahProfiler::new(cheetah, &instance.space);
-    machine.run(instance.program, &mut profiler);
+    run_cheetah(&machine, cell.app, &cell.app_config(), cheetah);
     obs.spans_sorted_by_attr("phase", "index")
         .iter()
         .map(|span| {
@@ -207,18 +234,16 @@ impl Record {
 struct Args {
     shards: Vec<u32>,
     reps: u32,
-    tolerance: f64,
     check: bool,
     trace: Option<String>,
     journal: Option<String>,
     locate: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
         shards: vec![1, 2, 4],
         reps: 3,
-        tolerance: 0.10,
         check: false,
         trace: None,
         journal: None,
@@ -227,34 +252,22 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => {
-                let list = args.next().expect("--shards needs a list");
-                parsed.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("shard count"))
-                    .collect();
-            }
-            "--reps" => parsed.reps = args.next().expect("--reps needs N").parse().expect("reps"),
-            "--tolerance" => {
-                parsed.tolerance = args
-                    .next()
-                    .expect("--tolerance needs a fraction")
-                    .parse()
-                    .expect("tolerance")
-            }
+            "--shards" => parsed.shards = flag_list(&mut args, &arg)?,
+            "--reps" => parsed.reps = flag_value(&mut args, &arg)?,
             "--check" => parsed.check = true,
-            "--trace" => parsed.trace = Some(args.next().expect("--trace needs a path")),
-            "--journal" => parsed.journal = Some(args.next().expect("--journal needs a path")),
+            "--trace" => parsed.trace = Some(flag_value(&mut args, &arg)?),
+            "--journal" => parsed.journal = Some(flag_value(&mut args, &arg)?),
             "--locate-divergence" => parsed.locate = true,
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    assert!(
-        parsed.shards.contains(&1),
-        "--shards must include 1 (the baseline)"
-    );
-    assert!(parsed.reps >= 1, "--reps must be at least 1");
-    parsed
+    if !parsed.shards.contains(&1) {
+        return Err("--shards must include 1 (the baseline)".into());
+    }
+    if parsed.reps == 0 {
+        return Err("--reps must be at least 1".into());
+    }
+    Ok(parsed)
 }
 
 /// Median of the recorded repeat times.
@@ -288,11 +301,138 @@ fn bench_cells() -> Vec<SweepCell> {
             period: 64,
             scale: 0.5,
             cores: 48,
-            min_predicted_improvement: 1.005,
+            min_predicted_improvement: MIN_IMPROVEMENT,
             max_iterations: 8,
         });
     }
     cells
+}
+
+/// One thread-count row: every workload's cells at one shard count, summed.
+struct Row {
+    threads: u32,
+    shards: u32,
+    wall_ns: u128,
+    /// The row's single-threaded wall-clock.
+    base_ns: u128,
+    speedup: f64,
+    merged: u64,
+    ordered: u64,
+}
+
+/// Aggregates the cell records by `(threads, shards)`: the matrix-row view.
+fn aggregate_rows(records: &[Record]) -> Vec<Row> {
+    let mut sums: BTreeMap<(u32, u32), (u128, u64, u64)> = BTreeMap::new();
+    for r in records {
+        let sum = sums.entry((r.threads, r.shards)).or_insert((0, 0, 0));
+        sum.0 += r.wall_ns;
+        sum.1 += r.events.merged;
+        sum.2 += r.ordered_events();
+    }
+    sums.iter()
+        .map(|(&(threads, shards), &(wall_ns, merged, ordered))| {
+            let base_ns = sums[&(threads, 1)].0;
+            Row {
+                threads,
+                shards,
+                wall_ns,
+                base_ns,
+                speedup: base_ns as f64 / wall_ns as f64,
+                merged,
+                ordered,
+            }
+        })
+        .collect()
+}
+
+/// The gates that need no baseline: row wall-clock within
+/// [`ROW_TOLERANCE`], a nonzero pass breakdown in every sharded cell, and
+/// gated cells at or above [`CELL_SPEEDUP_FLOOR`].
+fn fresh_regressions(records: &[Record], rows: &[Row]) -> Vec<String> {
+    let mut regressions = Vec::new();
+    for row in rows.iter().filter(|row| row.shards >= 2) {
+        if row.wall_ns as f64 > row.base_ns as f64 * (1.0 + ROW_TOLERANCE) {
+            regressions.push(format!(
+                "row threads={} shards={}: {:.1}ms vs {:.1}ms single-threaded \
+                 ({:.2}x, slower beyond {:.0}% tolerance)",
+                row.threads,
+                row.shards,
+                row.wall_ns as f64 / 1e6,
+                row.base_ns as f64 / 1e6,
+                row.speedup,
+                ROW_TOLERANCE * 100.0
+            ));
+        }
+    }
+    for r in records.iter().filter(|r| r.shards >= 2) {
+        let cell = format!(
+            "cell {} threads={} shards={}",
+            r.workload, r.threads, r.shards
+        );
+        // A zeroed breakdown means the classify/precompute/merge timers
+        // silently stopped reporting.
+        if r.events.classify_ns == 0 || r.events.precompute_ns == 0 || r.events.merge_ns == 0 {
+            regressions.push(format!(
+                "{cell}: pass_breakdown has a zero component (classify={} precompute={} \
+                 merge={} ns) — sharded passes unreported",
+                r.events.classify_ns, r.events.precompute_ns, r.events.merge_ns
+            ));
+        }
+        if GATED.contains(&r.workload) && r.speedup < CELL_SPEEDUP_FLOOR {
+            regressions.push(format!(
+                "{cell}: {:.2}x the classic loop, below the {CELL_SPEEDUP_FLOOR:.2}x floor",
+                r.speedup
+            ));
+        }
+    }
+    regressions
+}
+
+/// The gates against the committed baseline: every sharded baseline cell
+/// is present in `records`, and a gated cell's `ordered_events` stays
+/// within `ceil((1 + EVENT_SLACK) * baseline)`.
+fn baseline_regressions(baseline: &Value, records: &[Record]) -> Vec<String> {
+    let cells = baseline.get("results").and_then(Value::as_arr);
+    let mut regressions = Vec::new();
+    let mut sharded = 0;
+    for cell in cells.unwrap_or_default() {
+        let num = |key| cell.get(key).and_then(Value::as_f64);
+        let workload = cell.get("workload").and_then(Value::as_str);
+        let (Some(workload), Some(threads), Some(shards), Some(ordered)) = (
+            workload,
+            num("threads"),
+            num("shards"),
+            num("ordered_events"),
+        ) else {
+            regressions.push(format!("baseline {BENCH_PATH}: malformed cell {cell:?}"));
+            continue;
+        };
+        if shards < 2.0 {
+            continue;
+        }
+        sharded += 1;
+        let key = format!("cell {workload} threads={threads} shards={shards}");
+        let limit = (ordered * (1.0 + EVENT_SLACK)).ceil() as u64;
+        let fresh = records.iter().find(|r| {
+            (r.workload, f64::from(r.threads), f64::from(r.shards)) == (workload, threads, shards)
+        });
+        match fresh {
+            None => regressions.push(format!("{key}: in the baseline, missing from this run")),
+            Some(r) if GATED.contains(&workload) && r.ordered_events() > limit => {
+                regressions.push(format!(
+                    "{key}: {} ordered events, above the baseline's {ordered} + {:.0}% \
+                     (limit {limit})",
+                    r.ordered_events(),
+                    EVENT_SLACK * 100.0
+                ))
+            }
+            Some(_) => {}
+        }
+    }
+    if sharded == 0 {
+        regressions.push(format!("baseline {BENCH_PATH}: no sharded cells to gate"));
+    }
+    regressions
 }
 
 /// Re-runs `cell` at `shards` through a fresh tracing registry and writes
@@ -311,9 +451,8 @@ fn export_trace(cell: &SweepCell, shards: u32, trace: Option<&str>, journal: Opt
 }
 
 fn main() {
-    let args = parse_args();
-    let (shard_counts, reps, tolerance, check) =
-        (args.shards, args.reps, args.tolerance, args.check);
+    let args = parse_args().unwrap_or_else(|error| usage_exit(USAGE, &error));
+    let (shard_counts, reps, check) = (args.shards, args.reps, args.check);
     let cells = bench_cells();
     let max_shards = *shard_counts.iter().max().expect("nonempty shard list");
 
@@ -423,14 +562,7 @@ fn main() {
         );
     }
 
-    // Aggregate rows by thread count: the matrix-row view of the gate.
-    let mut rows: BTreeMap<(u32, u32), (u128, u64, u64)> = BTreeMap::new();
-    for r in &records {
-        let row = rows.entry((r.threads, r.shards)).or_insert((0, 0, 0));
-        row.0 += r.wall_ns;
-        row.1 += r.events.merged;
-        row.2 += r.ordered_events();
-    }
+    let rows = aggregate_rows(&records);
     println!("\nPer-row aggregate (all workloads at a thread count):\n");
     println!(
         "{}",
@@ -442,51 +574,26 @@ fn main() {
             "ordered".into(),
         ])
     );
-    let mut row_records: Vec<(u32, u32, u128, f64, u64, u64)> = Vec::new();
-    let mut regressions: Vec<String> = Vec::new();
-    for (&(threads, shards), &(wall, merged, ordered)) in &rows {
-        let base = rows[&(threads, 1)].0;
-        let speedup = base as f64 / wall as f64;
-        row_records.push((threads, shards, wall, speedup, merged, ordered));
+    for row in &rows {
         println!(
             "{}",
             cheetah_bench::row(&[
-                threads.to_string(),
-                shards.to_string(),
-                format!("{:.1}", wall as f64 / 1e6),
-                format!("{:.2}x", speedup),
-                ordered.to_string(),
+                row.threads.to_string(),
+                row.shards.to_string(),
+                format!("{:.1}", row.wall_ns as f64 / 1e6),
+                format!("{:.2}x", row.speedup),
+                row.ordered.to_string(),
             ])
         );
-        if shards >= 2 && (wall as f64) > base as f64 * (1.0 + tolerance) {
-            regressions.push(format!(
-                "row threads={threads} shards={shards}: {:.1}ms vs {:.1}ms single-threaded \
-                 ({speedup:.2}x, slower beyond {tolerance:.0}% tolerance)",
-                wall as f64 / 1e6,
-                base as f64 / 1e6,
-                tolerance = tolerance * 100.0
-            ));
-        }
     }
 
-    // Instrumentation gate: a sharded cell with a zeroed three-pass
-    // breakdown means the classify/precompute/merge timers silently
-    // stopped reporting — fail `--check` rather than publish hollow data.
-    for r in &records {
-        if r.shards >= 2
-            && (r.events.classify_ns == 0 || r.events.precompute_ns == 0 || r.events.merge_ns == 0)
-        {
-            regressions.push(format!(
-                "cell {} threads={} shards={}: pass_breakdown has a zero component \
-                 (classify={} precompute={} merge={} ns) — sharded passes unreported",
-                r.workload,
-                r.threads,
-                r.shards,
-                r.events.classify_ns,
-                r.events.precompute_ns,
-                r.events.merge_ns
-            ));
-        }
+    let mut regressions = fresh_regressions(&records, &rows);
+    let baseline = std::fs::read_to_string(BENCH_PATH)
+        .map_err(|e| e.to_string())
+        .and_then(|text| json::parse(&text));
+    match &baseline {
+        Ok(baseline) => regressions.extend(baseline_regressions(baseline, &records)),
+        Err(e) => regressions.push(format!("baseline {BENCH_PATH}: {e}")),
     }
 
     let mut json = String::from("{\n  \"benchmark\": \"sim\",\n");
@@ -524,23 +631,21 @@ fn main() {
         .collect();
     json.push_str(&cell_records.join(",\n"));
     json.push_str("\n  ],\n  \"rows\": [\n");
-    let row_json: Vec<String> = row_records
+    let row_json: Vec<String> = rows
         .iter()
-        .map(|(threads, shards, wall, speedup, merged, ordered)| {
+        .map(|row| {
             format!(
-                "    {{\"threads\": {threads}, \"shards\": {shards}, \
-                 \"wall_ns\": {wall}, \"speedup\": {speedup:.4}, \
-                 \"merged_events\": {merged}, \"ordered_events\": {ordered}}}"
+                "    {{\"threads\": {}, \"shards\": {}, \"wall_ns\": {}, \"speedup\": {:.4}, \
+                 \"merged_events\": {}, \"ordered_events\": {}}}",
+                row.threads, row.shards, row.wall_ns, row.speedup, row.merged, row.ordered
             )
         })
         .collect();
     json.push_str(&row_json.join(",\n"));
     json.push_str("\n  ]\n}\n");
 
-    let path = "BENCH_sim.json";
-    let mut file = std::fs::File::create(path).expect("create BENCH_sim.json");
-    file.write_all(json.as_bytes()).expect("write json");
-    println!("\nwrote {path}");
+    std::fs::write(BENCH_PATH, json).expect("write BENCH_sim.json");
+    println!("\nwrote {BENCH_PATH}");
 
     if args.trace.is_some() || args.journal.is_some() {
         export_trace(
@@ -551,18 +656,90 @@ fn main() {
         );
     }
 
-    if !regressions.is_empty() {
-        eprintln!("\nsharded execution regressions:");
-        for regression in &regressions {
-            eprintln!("  {regression}");
+    report_failures(
+        check,
+        &regressions,
+        "no sharded row slower than single-threaded; all sharded cells report a \
+         nonzero pass breakdown; gated cells within the speedup floor and the \
+         baseline's ordered events",
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(workload: &'static str, shards: u32, speedup: f64, ordered: u64) -> Record {
+        let events = Events {
+            merged: ordered,
+            classify_ns: 1,
+            precompute_ns: 1,
+            merge_ns: 1,
+            ..Events::default()
+        };
+        Record {
+            workload,
+            threads: 4,
+            period: 64,
+            shards,
+            wall_ns: 100,
+            speedup,
+            events,
         }
-        if check {
-            std::process::exit(1);
-        }
-    } else if check {
-        println!(
-            "check passed: no sharded row slower than single-threaded; \
-             all sharded cells report a nonzero pass breakdown"
+    }
+
+    /// A baseline with one threads=4 cell per `(workload, shards, ordered_events)`.
+    fn baseline(cells: &[(&str, u32, u64)]) -> Value {
+        let cells: Vec<String> = cells
+            .iter()
+            .map(|(w, s, o)| {
+                format!(
+                    r#"{{"workload": "{w}", "threads": 4, "shards": {s}, "ordered_events": {o}}}"#
+                )
+            })
+            .collect();
+        json::parse(&format!(r#"{{"results": [{}]}}"#, cells.join(", "))).unwrap()
+    }
+
+    #[test]
+    fn ordered_events_allow_exactly_the_slack() {
+        let base = baseline(&[("streamcluster", 2, 100)]);
+        let at_slack = [record("streamcluster", 2, 1.5, 105)];
+        assert_eq!(baseline_regressions(&base, &at_slack), Vec::<String>::new());
+        let over = [record("streamcluster", 2, 1.5, 106)];
+        assert_eq!(baseline_regressions(&base, &over).len(), 1);
+    }
+
+    #[test]
+    fn missing_baseline_cell_fails() {
+        let base = baseline(&[("struct_straddle", 2, 100), ("streamcluster", 4, 100)]);
+        let regressions = baseline_regressions(&base, &[record("streamcluster", 4, 1.5, 100)]);
+        assert!(matches!(&regressions[..], [one] if one.contains("struct_straddle")));
+    }
+
+    #[test]
+    fn speedup_floor_gates_only_streaming_workloads() {
+        let passing = [
+            record("streaming_histogram", 2, 0.90, 10),
+            record("struct_straddle", 2, 0.5, 90),
+        ];
+        assert_eq!(fresh_regressions(&passing, &[]), Vec::<String>::new());
+        let slow = [record("streaming_histogram", 2, 0.89, 10)];
+        assert_eq!(fresh_regressions(&slow, &[]).len(), 1);
+    }
+
+    #[test]
+    fn sharded_row_allows_exactly_the_tolerance() {
+        let mut cells = [
+            record("microbench", 1, 1.0, 0),
+            record("microbench", 2, 1.0, 0),
+        ];
+        cells[1].wall_ns = 110;
+        assert_eq!(
+            fresh_regressions(&cells, &aggregate_rows(&cells)),
+            Vec::<String>::new()
         );
+        cells[1].wall_ns = 111;
+        assert_eq!(fresh_regressions(&cells, &aggregate_rows(&cells)).len(), 1);
     }
 }

@@ -11,23 +11,27 @@
 //! overhead at the cell's sampling rate.
 //!
 //! Emits a human table on stdout and machine-readable records to
-//! `BENCH_repair.json` (current directory); CI regenerates the file and
-//! compares per-cell prediction errors against the committed baseline via
-//! the `bench_compare` bin.
+//! `BENCH_repair.json` (current directory). Every field is deterministic,
+//! so CI regenerates the file and requires it to be byte-identical (`cmp`)
+//! to the committed baseline.
 //!
 //! With `--trace out.json` every cell's phase, shard-pass, and
 //! converge-iteration spans are collected in one tracing [`ObsHandle`] and
 //! exported as Perfetto-loadable Chrome trace-event JSON after the matrix
-//! completes. The default (untraced) path is byte-identical to before —
-//! spans on an untraced registry are no-ops.
+//! completes. Spans on an untraced registry are no-ops, so tracing leaves
+//! `BENCH_repair.json` unchanged.
+//!
+//! Usage: see [`USAGE`].
 
-use cheetah_core::{CheetahConfig, CheetahProfiler};
+use cheetah_bench::{flag_value, run_cheetah, run_native, usage_exit};
+use cheetah_core::CheetahConfig;
 use cheetah_obs::ObsHandle;
 use cheetah_repair::{converge, ConvergeConfig, ConvergenceTrace, ValidationHarness};
-use cheetah_sim::{Machine, MachineConfig, NullObserver};
+use cheetah_sim::{Machine, MachineConfig};
 use cheetah_workloads::{table2_matrix, SweepCell};
 use std::fmt::Write as _;
-use std::io::Write as _;
+
+const USAGE: &str = "table2_prediction [--shards N] [--trace out.json]";
 
 struct Row {
     cell: SweepCell,
@@ -46,13 +50,10 @@ fn measure(cell: SweepCell, shards: u32, obs: &ObsHandle) -> Row {
 
     // Detector overhead: profiled (with real trap/setup costs) vs. native
     // runtime of the broken build.
-    let native = machine
-        .run(cell.app.build(&config).program, &mut NullObserver)
+    let native = run_native(&machine, cell.app, &config).total_cycles;
+    let profiled = run_cheetah(&machine, cell.app, &config, cheetah.clone())
+        .0
         .total_cycles;
-    let instance = cell.app.build(&config);
-    let mut profiler = CheetahProfiler::new(cheetah.clone(), &instance.space);
-    let profiled = machine.run(instance.program, &mut profiler).total_cycles;
-    drop(profiler);
     let detector_overhead = profiled as f64 / native as f64 - 1.0;
 
     // The fixpoint loop: fix, re-profile, repeat until nothing significant
@@ -76,7 +77,8 @@ fn measure(cell: SweepCell, shards: u32, obs: &ObsHandle) -> Row {
     }
 }
 
-fn main() {
+/// Returns `(shards, trace path)`.
+fn parse_args() -> Result<(u32, Option<String>), String> {
     // `--shards N`: host threads for sharded simulator execution (see
     // `MachineConfig::shards`; 0 = auto, 1 = classic loop). Results are
     // bit-identical for every value — only wall-clock changes — so the
@@ -86,17 +88,16 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => {
-                shards = args
-                    .next()
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("shard count");
-            }
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
-            other => panic!("unknown argument {other}"),
+            "--shards" => shards = flag_value(&mut args, &arg)?,
+            "--trace" => trace_path = Some(flag_value(&mut args, &arg)?),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    Ok((shards, trace_path))
+}
+
+fn main() {
+    let (shards, trace_path) = parse_args().unwrap_or_else(|error| usage_exit(USAGE, &error));
     let obs = if trace_path.is_some() {
         ObsHandle::fresh()
     } else {
@@ -189,8 +190,7 @@ fn main() {
     json.push_str("\n  ]\n}\n");
 
     let path = "BENCH_repair.json";
-    let mut file = std::fs::File::create(path).expect("create BENCH_repair.json");
-    file.write_all(json.as_bytes()).expect("write json");
+    std::fs::write(path, json).expect("write BENCH_repair.json");
     println!("\nwrote {path}");
 
     if let Some(trace) = trace_path {

@@ -135,7 +135,8 @@ fn repair_is_a_no_op_for_clean_apps() {
 /// A slice of the Table-2 matrix (the extreme thread counts at one period
 /// per workload): every cell must converge to zero residual with its
 /// per-step prediction error under 20%. The full matrix runs in
-/// `table2_prediction` and is gated in CI by `bench_compare`.
+/// `table2_prediction`, whose `BENCH_repair.json` CI requires to be
+/// byte-identical to the committed file.
 #[test]
 fn matrix_extremes_converge_with_bounded_error() {
     let picked = [
