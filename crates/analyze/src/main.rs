@@ -11,7 +11,10 @@
 //!   the statically-derived line pre-filter, and report the detector
 //!   table-size reduction (also published as `analyze.*` gauges).
 //!
-//! `--threads N` and `--scale S` adjust the workload build.
+//! `--threads N` and `--scale S` adjust the workload build. A bad command
+//! line (unknown flag or workload, a configuration some named workload
+//! cannot be built with) prints a `usage:` line and exits 2; `--lint`
+//! uses exit 1 for "diagnostics fired".
 
 use cheetah_analyze::{analyze_layout, lint_workload, prefilter_for, summarize};
 use cheetah_core::detect::detector::{OBS_LINE_TABLE, OBS_OBJECT_TABLE, OBS_SAMPLES_PREFILTERED};
@@ -24,6 +27,9 @@ use std::process::ExitCode;
 /// Sampling period for the pre-filter report runs; matches the scaled
 /// period the bench harnesses use so table sizes are representative.
 const PREFILTER_PERIOD: u64 = 8192;
+
+const USAGE: &str =
+    "cheetah-analyze [--lint | --prefilter-report] [--threads N] [--scale S] [workload ...]";
 
 struct Options {
     lint: bool,
@@ -57,9 +63,8 @@ fn parse_args() -> Result<Options, String> {
                 options.scale = value.parse().map_err(|_| format!("bad scale {value}"))?;
             }
             "--help" | "-h" => {
-                return Err("usage: cheetah-analyze [--lint | --prefilter-report] \
-                            [--threads N] [--scale S] [workload ...]"
-                    .to_string())
+                println!("usage: {USAGE}");
+                std::process::exit(0);
             }
             name => match cheetah_workloads::find(name) {
                 Some(app) => options.apps.push(app),
@@ -69,6 +74,10 @@ fn parse_args() -> Result<Options, String> {
     }
     if options.apps.is_empty() {
         options.apps = APPS.iter().collect();
+    }
+    let config = app_config(&options);
+    for app in &options.apps {
+        app.try_build(&config).map_err(|error| error.to_string())?;
     }
     Ok(options)
 }
@@ -81,8 +90,8 @@ fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(options) => options,
         Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
+            eprintln!("error: {message}\nusage: {USAGE}");
+            return ExitCode::from(2);
         }
     };
     if options.lint {

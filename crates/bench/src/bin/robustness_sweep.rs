@@ -29,8 +29,8 @@
 //! Usage: see [`USAGE`].
 
 use cheetah_bench::{
-    flag_value, flag_workloads, origin_label, report_failures, run_cheetah, usage_exit,
-    MIN_IMPROVEMENT,
+    check_workloads, flag_value, flag_workloads, origin_label, report_failures, run_cheetah,
+    usage_exit, MIN_IMPROVEMENT,
 };
 use cheetah_core::{CheetahConfig, CorruptFields, FaultPlan, Profile};
 use cheetah_repair::{converge, ConvergeConfig, ValidationHarness};
@@ -77,6 +77,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    check_workloads(
+        &parsed.workloads,
+        &AppConfig::with_threads(parsed.threads).scaled(parsed.scale),
+    )?;
     Ok(parsed)
 }
 

@@ -22,8 +22,8 @@
 //! Usage: see [`USAGE`].
 
 use cheetah_bench::{
-    flag_list, flag_value, flag_workloads, origin_label, report_failures, run_cheetah, usage_exit,
-    MIN_IMPROVEMENT,
+    check_workloads, flag_list, flag_value, flag_workloads, origin_label, report_failures,
+    run_cheetah, usage_exit, MIN_IMPROVEMENT,
 };
 use cheetah_core::{hidden_findings, union_findings, CheetahConfig, Profile};
 use cheetah_repair::{converge_worst_case, schedule_set, ConvergeConfig, ValidationHarness};
@@ -70,6 +70,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    check_workloads(
+        &parsed.workloads,
+        &AppConfig::with_threads(parsed.threads).scaled(parsed.scale),
+    )?;
     Ok(parsed)
 }
 

@@ -83,6 +83,14 @@ pub fn flag_workloads(
         .collect()
 }
 
+/// Checks that every workload builds with `config`, so a bad `--threads`
+/// or `--scale` is a usage error instead of a panic mid-sweep.
+pub fn check_workloads(apps: &[&'static App], config: &AppConfig) -> Result<(), String> {
+    apps.iter()
+        .try_for_each(|app| app.try_build(config).map(drop))
+        .map_err(|error| error.to_string())
+}
+
 /// Prints the gate failures to stderr; under `check` any failure exits 1
 /// and none prints `check passed: {passed}`.
 pub fn report_failures(check: bool, failures: &[String], passed: &str) {

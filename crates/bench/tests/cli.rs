@@ -27,4 +27,11 @@ fn bad_arguments_print_usage_and_exit_2() {
     assert_usage_error(schedule, &["--seeds", ""]);
     assert_usage_error(schedule, &["--schedule-seed", "1"]);
     assert_usage_error(robust, &["--workloads", "no_such_app"]);
+    // A workload configuration no app can build is a usage error too.
+    for bin in [robust, schedule] {
+        assert_usage_error(bin, &["--threads", "0"]);
+        assert_usage_error(bin, &["--scale", "0"]);
+        assert_usage_error(bin, &["--scale", "nan"]);
+        assert_usage_error(bin, &["--threads", "17", "--workloads", "microbench"]);
+    }
 }

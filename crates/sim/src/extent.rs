@@ -2,10 +2,10 @@
 //!
 //! A parallel phase's lines are classified by who touches them: private
 //! (one worker), read-shared (several workers, no writes) or write-shared.
-//! PR 3 classified per line, paying hash-map traffic proportional to the
+//! Classifying per line would pay hash-map traffic proportional to the
 //! number of distinct lines — ruinous for streaming phases that touch tens
-//! of thousands of one-shot private lines. This module classifies whole
-//! **extents** instead: each worker contributes a sorted list of
+//! of thousands of one-shot private lines — so this module classifies
+//! whole **extents**: each worker contributes a sorted list of
 //! [`LineExtent`]s (from its stream's declared [`crate::footprint`] or, as
 //! a fallback, coalesced from its materialised touch set), and a single
 //! boundary sweep over all workers' extents produces the phase's

@@ -2,24 +2,27 @@
 //!
 //! The sharded executor (see [`crate::shard`]) splits a parallel phase
 //! into order-independent per-worker precompute and a small *ordered
-//! residue* — directory events, shared-hit waits and hit-run walks — that
-//! the merge replays in exact global time order. SmartTrack-style
-//! predictive analyses observe that the residue's order is exactly the
-//! part of an execution the scheduler could have chosen differently: a
-//! fork-join phase has no intra-phase synchronisation, so *any*
-//! interleaving of the residue that respects each worker's program order
-//! is a feasible execution of the program.
+//! residue* — directory events, shared-hit waits and hit-run walks. One
+//! merge replays that residue, and replaying an event does the same thing
+//! whatever the policy; a policy only chooses **which worker's event goes
+//! next**. SmartTrack-style predictive analyses observe that this order is
+//! exactly the part of an execution the scheduler could have chosen
+//! differently: a fork-join phase has no intra-phase synchronisation, so
+//! *any* interleaving of the residue that respects each worker's program
+//! order is a feasible execution of the program.
 //!
-//! A [`SchedulePolicy`] picks one of those feasible interleavings:
+//! A [`SchedulePolicy`] is one of two selection rules:
 //!
 //! * [`SchedulePolicy::Observed`] — the timestamp order the hardware
-//!   would produce; byte-identical to a run without a policy.
-//! * [`SchedulePolicy::SeededShuffle`] — a seeded uniform shuffle of the
-//!   ready residue events, exploring interleavings the observed timing
-//!   happened to exclude.
-//! * [`SchedulePolicy::ContentionMax`] — a heuristic that prefers
-//!   directory writes landing on a line another core wrote last, driving
-//!   write-shared lines into worst-case ping-pong.
+//!   would produce (a min-heap over worker clocks); byte-identical to a
+//!   run without a policy.
+//! * a seeded pick among the live workers, each pick replaying the
+//!   worker's next event whole:
+//!   * [`SchedulePolicy::SeededShuffle`] picks uniformly, exploring
+//!     interleavings the observed timing happened to exclude;
+//!   * [`SchedulePolicy::ContentionMax`] prefers directory writes landing
+//!     on a line another core wrote last, driving write-shared lines into
+//!     worst-case ping-pong.
 //!
 //! Every perturbed run is **deterministic given `(seed, shards)`** — in
 //! fact independent of the shard count entirely: the per-worker event

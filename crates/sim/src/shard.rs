@@ -29,10 +29,9 @@
 //! (one worker, simulated entirely in precompute), **read-shared**
 //! (several workers, no writes: one directory access per worker, every
 //! later read a provable L1 hit) or **write-shared** (the false-sharing
-//! traffic itself, fully ordered). PR 3 discovered the classes per *line*,
-//! paying several hash-map operations for every distinct line — the
-//! dominant cost of streaming phases that touch tens of thousands of
-//! one-shot private lines. Classification is now per **extent**: each
+//! traffic itself, fully ordered). Classes are found per **extent**, not
+//! per line (a hash-map probe per distinct line would dominate streaming
+//! phases that touch tens of thousands of one-shot private lines): each
 //! stream declares its footprint as a few contiguous byte ranges
 //! ([`crate::footprint`]), a single boundary sweep classifies the union
 //! (`extent::ClassTable`), and the per-access hot loop resolves a
@@ -47,10 +46,9 @@
 //!
 //! A private line's whole phase history is computed in precompute; only
 //! *sampled* private accesses become events, everything else folds into
-//! the next event's `lead` cycles. The per-line residue PR 3 still paid —
-//! a map entry per line for the final MESI state, a directory insert per
-//! line at write-back — is now folded too: completed private lines
-//! accumulate into uniform-state **runs** (`extent::RangeList`)
+//! the next event's `lead` cycles. Their per-line residue — the final
+//! MESI state and the directory write-back — folds too: completed private
+//! lines accumulate into uniform-state **runs** (`extent::RangeList`)
 //! and are written back as whole extents
 //! (`Directory::restore_extent`), so a streaming
 //! worker's million-access private-write sweep costs the directory a
@@ -60,15 +58,24 @@
 //! into a per-line exception map — correctness never depends on the
 //! folding succeeding.
 //!
-//! 2. **Merge** (single-threaded): the per-worker event streams are merged
-//!    on a min-heap keyed by `(timestamp, worker, seq)` — the exact order
-//!    the classic loop produces (its heap is keyed the same way and each
-//!    worker's ops are FIFO). Shared-directory accesses, busy-window waits,
-//!    observer callbacks and sample delivery all happen here, in merged
-//!    global order, so coherence state, detector samples and reports come
-//!    out bit-identical to the classic loop. The phase's join barrier
-//!    becomes a merge barrier: the main thread resumes at the merged
-//!    maximum end time, exactly as it would have at the classic join.
+//! 2. **Merge** (single-threaded): the per-worker event streams — the
+//!    *ordered residue* — are replayed one event at a time. Replaying an
+//!    event is one piece of code (`Replay::event`): shared-directory
+//!    accesses, busy-window waits, hit-run settling, observer callbacks
+//!    and sample delivery all happen there. The merge's
+//!    [`SchedulePolicy`] only decides which worker's event goes next:
+//!    * **observed** — a min-heap keyed by `(timestamp, worker)` with FIFO
+//!      events per worker, the exact order the classic loop produces (its
+//!      heap is keyed the same way), so coherence state, detector samples
+//!      and reports come out bit-identical to it;
+//!    * **perturbed** (`SeededShuffle`, `ContentionMax`) — a seeded pick
+//!      among live workers, replaying the picked worker's next event whole:
+//!      another feasible interleaving of the same residue (see
+//!      [`crate::schedule`]).
+//!
+//!    The phase's join barrier becomes a merge barrier: the main thread
+//!    resumes at the merged maximum end time, exactly as it would have at
+//!    the classic join.
 //!
 //! ## The hit-run settling argument, per line
 //!
@@ -77,8 +84,7 @@
 //! never be occupied again, a run of hits on it has no observable effect
 //! other than advancing its own worker's clock and counting L1 hits — so
 //! the merge folds the entire run in O(1) using its precomputed lead sum.
-//! PR 3 waited for *every* read-shared line's first touches globally; the
-//! settling condition is now per line, and earlier: after a line's first
+//! Settling is decided per line, and early: after a line's first
 //! two first-touches merge it is in `Shared` state, where further first
 //! touches are LLC hits that do not occupy the line — except
 //! prefetch-substituted sequential fills, which the precompute pass counts
@@ -87,12 +93,14 @@
 //! outstanding; its busy window is then final, and every hit run over
 //! settled lines whose windows have passed folds without touching the heap
 //! or the directory. Before that point the merge walks runs read by read
-//! against the real busy windows, yielding at the horizon exactly like the
-//! classic loop.
+//! against the real busy windows; the observed schedule yields at the
+//! horizon exactly like the classic loop, a perturbed pick replays the run
+//! whole (its reads touch nothing another worker can contend on).
 //!
 //! Determinism is structural: the precompute pass is per-worker (the
 //! partitioning of workers onto host threads cannot affect its output) and
-//! the merge order is a pure function of worker clocks, so *any* shard
+//! the merge order is a pure function of worker clocks (and, perturbed,
+//! of the policy seed), so *any* shard
 //! count — including the classic path at `shards = 1` — yields the same
 //! [`crate::RunReport`]. The property tests in `tests/shard_props.rs` and
 //! the `sim_throughput` bench gate assert exactly that; the
@@ -118,7 +126,7 @@ const HOT_WAYS: usize = 4;
 /// lines spill to the per-line exception map instead of `Vec::insert`.
 const FRAG_CAP: usize = 512;
 /// Widest hit-run line span checked line by line for early folding; wider
-/// runs wait for global settling as in PR 3.
+/// runs wait until every read-shared line has settled.
 const MAX_FOLD_SPAN: u64 = 16;
 
 /// One read inside a hit-run: `cum_lead` is the folded local work since the
@@ -783,37 +791,16 @@ pub(crate) fn run_parallel_sharded(
     let mut span_merge = config.obs.span("shard.merge", OBS_LANE_ENGINE);
     span_merge.attr_u64("phase", u64::from(phase_index));
 
-    // Pass 2: deterministic merge — in observed (timestamp) order, or in
-    // the perturbed order a schedule policy draws from the same plans.
+    // Pass 2: deterministic merge, in the order the schedule policy picks.
     let counters = SimCounters::of(&config.obs);
-    let mut settle = Settle::new(&plans);
-    let ends = match config.schedule {
-        SchedulePolicy::Observed => merge(
-            directory,
-            observer,
-            workers,
-            &plans,
-            &mut settle,
-            phase_index,
-            &latency,
-            line_size,
-            &counters,
-            &mut span_merge,
-        ),
-        policy => merge_perturbed(
-            directory,
-            observer,
-            workers,
-            &plans,
-            &mut settle,
-            phase_index,
-            &latency,
-            line_size,
-            &counters,
-            &mut span_merge,
-            policy,
-        ),
-    };
+    let ends = merge(
+        Replay::new(config, directory, observer, &plans, phase_index),
+        workers,
+        &plans,
+        config.schedule,
+        &counters,
+        &mut span_merge,
+    );
     let t_merge = t0.elapsed();
     span_merge.finish();
 
@@ -1203,6 +1190,22 @@ impl<'a> MergeWorker<'a> {
             self.clock + ev.lead
         }
     }
+
+    /// The line of the pending event when it is a directory write.
+    fn pending_write(&self, line_size: u64) -> Option<CacheLineId> {
+        match self.pending {
+            Some(Ev {
+                kind:
+                    EvKind::Dir {
+                        addr,
+                        kind: AccessKind::Write,
+                        ..
+                    },
+                ..
+            }) => Some(addr.line(line_size)),
+            _ => None,
+        }
+    }
 }
 
 /// Folded local work between read `cursor - 1` and read `cursor` of a run
@@ -1216,347 +1219,63 @@ fn run_lead_at(reads: &[HitRead], cursor: usize) -> Cycles {
     }
 }
 
-/// Merges the precomputed event streams in exact global order, performing
-/// every shared-directory access and observer callback; returns each
-/// worker's end time.
-#[allow(clippy::too_many_arguments)]
-fn merge(
-    directory: &mut Directory,
-    observer: &mut dyn ExecObserver,
-    workers: &[ThreadCtx],
-    plans: &[WorkerPlan],
-    settle: &mut Settle,
-    phase_index: u32,
-    latency: &LatencyModel,
-    line_size: u64,
-    counters: &SimCounters,
-    span: &mut cheetah_obs::SpanGuard,
-) -> Vec<Cycles> {
-    let l1_cost = latency.l1_hit;
-    let mut ends = vec![0; workers.len()];
-    let (mut merged_count, mut folded_count, mut surfaced_count) = (0u64, 0u64, 0u64);
-    let mut merge_workers: Vec<MergeWorker<'_>> = workers
-        .iter()
-        .zip(plans)
-        .map(|(ctx, plan)| {
-            let mut events = plan.events.iter();
-            let pending = events.next();
-            MergeWorker {
-                id: ctx.id,
-                core: ctx.core,
-                clock: ctx.clock,
-                events,
-                hit_reads: &plan.hit_reads,
-                pending,
-                run_cursor: 0,
-            }
-        })
-        .collect();
-
-    // Min-heap on (next event time, slot): identical ordering to the
-    // classic loop's (clock, slot) heap with FIFO events per worker.
-    let mut heap: BinaryHeap<Reverse<(Cycles, usize)>> = merge_workers
-        .iter()
-        .enumerate()
-        .map(|(slot, w)| Reverse((w.next_time(), slot)))
-        .collect();
-
-    while let Some(Reverse((_, slot))) = heap.pop() {
-        // Process this worker's events while no other worker could possibly
-        // have an earlier one (the classic loop's burst, in event units).
-        let horizon = heap.peek().map(|Reverse((t, _))| *t);
-        'burst: loop {
-            let w = &mut merge_workers[slot];
-            let ev = w.pending.take().expect("popped worker has an event");
-            match &ev.kind {
-                EvKind::Exit => {
-                    w.clock += ev.lead;
-                    ends[slot] = w.clock;
-                    observer.on_thread_exit(w.id, w.clock);
-                    break 'burst;
-                }
-                EvKind::Dir {
-                    addr,
-                    kind,
-                    instrs_before,
-                    sequential,
-                    settles,
-                    surfaced,
-                    perturbation,
-                } => {
-                    merged_count += 1;
-                    w.clock += ev.lead;
-                    let line = addr.line(line_size);
-                    let result = directory.access_hinted(w.core, line, *kind, w.clock, *sequential);
-                    let latency_cycles = result.latency();
-                    if *surfaced {
-                        surfaced_count += 1;
-                    }
-                    let perturb = surface(
-                        observer,
-                        w,
-                        *addr,
-                        *kind,
-                        result.outcome,
-                        latency_cycles,
-                        *instrs_before,
-                        phase_index,
-                        *surfaced,
-                        *perturbation,
-                    );
-                    w.clock += latency_cycles + perturb;
-                    if *settles {
-                        settle.merge_first_touch(directory, line, *sequential);
-                    }
-                }
-                EvKind::SharedHit {
-                    addr,
-                    instrs_before,
-                    perturbation,
-                } => {
-                    merged_count += 1;
-                    surfaced_count += 1;
-                    w.clock += ev.lead;
-                    let line = addr.line(line_size);
-                    let wait = directory.busy_wait(line, w.clock);
-                    directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                    let latency_cycles = wait + l1_cost;
-                    let perturb = surface(
-                        observer,
-                        w,
-                        *addr,
-                        AccessKind::Read,
-                        AccessOutcome::L1Hit,
-                        latency_cycles,
-                        *instrs_before,
-                        phase_index,
-                        true,
-                        *perturbation,
-                    );
-                    w.clock += latency_cycles + perturb;
-                }
-                EvKind::HitRun {
-                    first,
-                    end,
-                    min_line,
-                    max_line,
-                } => {
-                    let reads = &w.hit_reads[*first..*end];
-                    let mut cursor = w.run_cursor;
-                    if cursor == 0 {
-                        w.clock += ev.lead;
-                    }
-                    // Walk read by read against the real busy windows while
-                    // any line in the span could still be occupied, folding
-                    // the remainder the moment it settles; yield at the
-                    // horizon exactly like the classic loop (the first read
-                    // of this visit is unconditional: it was the heap
-                    // minimum).
-                    let mut first = true;
-                    loop {
-                        if cursor >= reads.len() {
-                            w.run_cursor = 0;
-                            break;
-                        }
-                        let start = w.clock + run_lead_at(reads, cursor);
-                        if settle.run_foldable(directory, *min_line, *max_line, start) {
-                            // Settled: no read can wait, nothing global is
-                            // touched — fold the rest atomically.
-                            let n = (reads.len() - cursor) as u64;
-                            let prefix = if cursor == 0 {
-                                0
-                            } else {
-                                reads[cursor - 1].cum_lead
-                            };
-                            let total = reads[reads.len() - 1].cum_lead;
-                            w.clock += (total - prefix) + n * l1_cost;
-                            directory.record_hit_batch(n);
-                            folded_count += n;
-                            w.run_cursor = 0;
-                            break;
-                        }
-                        if !first {
-                            if let Some(h) = horizon {
-                                if start >= h {
-                                    w.run_cursor = cursor;
-                                    w.pending = Some(ev);
-                                    heap.push(Reverse((start, slot)));
-                                    break 'burst;
-                                }
-                            }
-                        }
-                        first = false;
-                        merged_count += 1;
-                        w.clock = start;
-                        let wait = directory.busy_wait(reads[cursor].addr.line(line_size), w.clock);
-                        directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                        w.clock += wait + l1_cost;
-                        cursor += 1;
-                    }
-                }
-                EvKind::Private {
-                    addr,
-                    kind,
-                    instrs_before,
-                    outcome,
-                    cost,
-                    perturbation,
-                } => {
-                    merged_count += 1;
-                    surfaced_count += 1;
-                    w.clock += ev.lead;
-                    // Stats were already counted by the precompute pass.
-                    let perturb = surface(
-                        observer,
-                        w,
-                        *addr,
-                        *kind,
-                        *outcome,
-                        *cost,
-                        *instrs_before,
-                        phase_index,
-                        true,
-                        *perturbation,
-                    );
-                    w.clock += cost + perturb;
-                }
-            }
-            let w = &mut merge_workers[slot];
-            let next = w.events.next().expect("Exit terminates the stream");
-            w.pending = Some(next);
-            let next_time = w.clock + next.lead;
-            if let Some(h) = horizon {
-                if next_time >= h {
-                    heap.push(Reverse((next_time, slot)));
-                    break 'burst;
-                }
-            }
-        }
-    }
-    counters.count_merged(merged_count);
-    counters.count_folded(folded_count);
-    counters.count_surfaced(surfaced_count);
-    span.attr_u64("merged", merged_count);
-    span.attr_u64("folded", folded_count);
-    span.attr_u64("surfaced", surfaced_count);
-    ends
+/// How one [`Replay::event`] call left its worker.
+enum Replayed {
+    /// The worker's stream ended; its clock is its end time.
+    Exited,
+    /// The event replayed in full; the next one is pending.
+    Completed,
+    /// A hit run reached the horizon; it resumes at this global time.
+    Yielded(Cycles),
 }
 
-/// Merges the precomputed event streams in a *perturbed* global order
-/// drawn by `policy` (never [`SchedulePolicy::Observed`] — the caller
-/// routes that to [`merge`]): at every step one live worker is selected
-/// and its next residue event is replayed in full, so per-worker program
-/// order is preserved by construction while the cross-worker interleaving
-/// explores a different feasible schedule.
-///
-/// Worker clocks still advance through each worker's own leads and
-/// latencies, but the *directory* sees events in selection order: a
-/// write-shared line whose observed schedule kept its writers apart is
-/// driven through the MESI ping-pong a different scheduler could have
-/// produced. Busy-window waits saturate (`busy_until − now` at the
-/// worker's own, possibly earlier, clock), so non-monotonic arrival times
-/// are safe. Selection is a pure function of the policy seed, the phase
-/// index and the per-worker plans — deterministic given `(seed, shards)`,
-/// and in fact identical at every shard count.
-#[allow(clippy::too_many_arguments)]
-fn merge_perturbed(
-    directory: &mut Directory,
-    observer: &mut dyn ExecObserver,
-    workers: &[ThreadCtx],
-    plans: &[WorkerPlan],
-    settle: &mut Settle,
+/// The event replay both selection rules share: every shared-directory
+/// access, busy-window wait, settling update and observer callback of the
+/// ordered residue happens here, whichever worker the merge picks next.
+struct Replay<'a> {
+    directory: &'a mut Directory,
+    observer: &'a mut dyn ExecObserver,
+    settle: Settle,
     phase_index: u32,
-    latency: &LatencyModel,
+    l1_cost: Cycles,
     line_size: u64,
-    counters: &SimCounters,
-    span: &mut cheetah_obs::SpanGuard,
-    policy: SchedulePolicy,
-) -> Vec<Cycles> {
-    let (contend, seed) = match policy {
-        SchedulePolicy::SeededShuffle { seed } => (false, seed),
-        SchedulePolicy::ContentionMax { seed } => (true, seed),
-        SchedulePolicy::Observed => unreachable!("observed schedules use the ordered merge"),
-    };
-    let mut rng = ScheduleRng::for_phase(seed, phase_index);
-    let l1_cost = latency.l1_hit;
-    let mut ends = vec![0; workers.len()];
-    let (mut merged_count, mut folded_count, mut surfaced_count) = (0u64, 0u64, 0u64);
-    let (mut selections, mut reordered) = (0u64, 0u64);
-    // Last core to *merge* a write per line — the contention heuristic's
-    // view of who owns each line right now.
-    let mut last_writer: FastMap<CacheLineId, CoreId> = FastMap::default();
-    let mut merge_workers: Vec<MergeWorker<'_>> = workers
-        .iter()
-        .zip(plans)
-        .map(|(ctx, plan)| {
-            let mut events = plan.events.iter();
-            let pending = events.next();
-            MergeWorker {
-                id: ctx.id,
-                core: ctx.core,
-                clock: ctx.clock,
-                events,
-                hit_reads: &plan.hit_reads,
-                pending,
-                run_cursor: 0,
-            }
-        })
-        .collect();
-    let mut live: Vec<usize> = (0..merge_workers.len()).collect();
+    merged: u64,
+    folded: u64,
+    surfaced: u64,
+}
 
-    while !live.is_empty() {
-        // Select the next worker. The contention heuristic prefers
-        // directory writes that land on a line a *different* core wrote
-        // last (each such merge is an invalidation); the shuffle — and
-        // the heuristic's fallback — draws uniformly among live workers.
-        let choice = if live.len() == 1 {
-            0
-        } else if contend {
-            let mut contending: Vec<usize> = Vec::new();
-            for (i, &slot) in live.iter().enumerate() {
-                let w = &merge_workers[slot];
-                if let Some(Ev {
-                    kind: EvKind::Dir { addr, kind, .. },
-                    ..
-                }) = w.pending
-                {
-                    if *kind == AccessKind::Write
-                        && last_writer
-                            .get(&addr.line(line_size))
-                            .is_some_and(|&owner| owner != w.core)
-                    {
-                        contending.push(i);
-                    }
-                }
-            }
-            if contending.is_empty() {
-                rng.pick(live.len())
-            } else {
-                contending[rng.pick(contending.len())]
-            }
-        } else {
-            rng.pick(live.len())
-        };
-        let slot = live[choice];
-        selections += 1;
-        let earliest = live
-            .iter()
-            .map(|&s| merge_workers[s].next_time())
-            .min()
-            .expect("live set is nonempty");
-        if merge_workers[slot].next_time() > earliest {
-            reordered += 1;
+impl<'a> Replay<'a> {
+    fn new(
+        config: &MachineConfig,
+        directory: &'a mut Directory,
+        observer: &'a mut dyn ExecObserver,
+        plans: &[WorkerPlan],
+        phase_index: u32,
+    ) -> Replay<'a> {
+        Replay {
+            directory,
+            observer,
+            settle: Settle::new(plans),
+            phase_index,
+            l1_cost: config.latency.l1_hit,
+            line_size: config.cache_line_size,
+            merged: 0,
+            folded: 0,
+            surfaced: 0,
         }
+    }
 
-        let w = &mut merge_workers[slot];
+    /// Replays `w`'s pending event. A hit run walked read by read yields
+    /// once a later read would start at or after `horizon`; without a
+    /// horizon it replays whole.
+    #[inline]
+    fn event(&mut self, w: &mut MergeWorker<'_>, horizon: Option<Cycles>) -> Replayed {
         let ev = w.pending.take().expect("live worker has a pending event");
         match &ev.kind {
             EvKind::Exit => {
                 w.clock += ev.lead;
-                ends[slot] = w.clock;
-                observer.on_thread_exit(w.id, w.clock);
-                live.swap_remove(choice);
-                continue;
+                self.observer.on_thread_exit(w.id, w.clock);
+                return Replayed::Exited;
             }
             EvKind::Dir {
                 addr,
@@ -1567,32 +1286,32 @@ fn merge_perturbed(
                 surfaced,
                 perturbation,
             } => {
-                merged_count += 1;
+                self.merged += 1;
                 w.clock += ev.lead;
-                let line = addr.line(line_size);
-                let result = directory.access_hinted(w.core, line, *kind, w.clock, *sequential);
+                let line = addr.line(self.line_size);
+                let result =
+                    self.directory
+                        .access_hinted(w.core, line, *kind, w.clock, *sequential);
                 let latency_cycles = result.latency();
                 if *surfaced {
-                    surfaced_count += 1;
+                    self.surfaced += 1;
                 }
-                let perturb = surface(
-                    observer,
+                let perturb = self.surface(
                     w,
                     *addr,
                     *kind,
                     result.outcome,
                     latency_cycles,
                     *instrs_before,
-                    phase_index,
-                    *surfaced,
-                    *perturbation,
+                    Verdict {
+                        perturbation: *perturbation,
+                        surfaced: *surfaced,
+                    },
                 );
                 w.clock += latency_cycles + perturb;
                 if *settles {
-                    settle.merge_first_touch(directory, line, *sequential);
-                }
-                if contend && *kind == AccessKind::Write {
-                    last_writer.insert(line, w.core);
+                    self.settle
+                        .merge_first_touch(self.directory, line, *sequential);
                 }
             }
             EvKind::SharedHit {
@@ -1600,24 +1319,24 @@ fn merge_perturbed(
                 instrs_before,
                 perturbation,
             } => {
-                merged_count += 1;
-                surfaced_count += 1;
+                self.merged += 1;
+                self.surfaced += 1;
                 w.clock += ev.lead;
-                let line = addr.line(line_size);
-                let wait = directory.busy_wait(line, w.clock);
-                directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                let latency_cycles = wait + l1_cost;
-                let perturb = surface(
-                    observer,
+                let wait = self.directory.busy_wait(addr.line(self.line_size), w.clock);
+                self.directory
+                    .record_precomputed(AccessOutcome::L1Hit, wait);
+                let latency_cycles = wait + self.l1_cost;
+                let perturb = self.surface(
                     w,
                     *addr,
                     AccessKind::Read,
                     AccessOutcome::L1Hit,
                     latency_cycles,
                     *instrs_before,
-                    phase_index,
-                    true,
-                    *perturbation,
+                    Verdict {
+                        perturbation: *perturbation,
+                        surfaced: true,
+                    },
                 );
                 w.clock += latency_cycles + perturb;
             }
@@ -1628,14 +1347,24 @@ fn merge_perturbed(
                 max_line,
             } => {
                 let reads = &w.hit_reads[*first..*end];
-                // One selection replays the whole run (hit runs touch
-                // nothing another worker can contend on, so splitting
-                // them across selections would not change any outcome).
-                w.clock += ev.lead;
-                let mut cursor = 0;
+                let mut cursor = w.run_cursor;
+                if cursor == 0 {
+                    w.clock += ev.lead;
+                }
+                // Walk read by read against the real busy windows while
+                // any line in the span could still be occupied, folding
+                // the remainder the moment it settles. The first read of
+                // this visit is unconditional (the worker was selected for
+                // it); later ones yield at the horizon.
+                let mut first = true;
                 while cursor < reads.len() {
                     let start = w.clock + run_lead_at(reads, cursor);
-                    if settle.run_foldable(directory, *min_line, *max_line, start) {
+                    if self
+                        .settle
+                        .run_foldable(self.directory, *min_line, *max_line, start)
+                    {
+                        // Settled: no read can wait, nothing global is
+                        // touched — fold the rest atomically.
                         let n = (reads.len() - cursor) as u64;
                         let prefix = if cursor == 0 {
                             0
@@ -1643,18 +1372,27 @@ fn merge_perturbed(
                             reads[cursor - 1].cum_lead
                         };
                         let total = reads[reads.len() - 1].cum_lead;
-                        w.clock += (total - prefix) + n * l1_cost;
-                        directory.record_hit_batch(n);
-                        folded_count += n;
+                        w.clock += (total - prefix) + n * self.l1_cost;
+                        self.directory.record_hit_batch(n);
+                        self.folded += n;
                         break;
                     }
-                    merged_count += 1;
+                    if !first && horizon.is_some_and(|h| start >= h) {
+                        w.run_cursor = cursor;
+                        w.pending = Some(ev);
+                        return Replayed::Yielded(start);
+                    }
+                    first = false;
+                    self.merged += 1;
                     w.clock = start;
-                    let wait = directory.busy_wait(reads[cursor].addr.line(line_size), w.clock);
-                    directory.record_precomputed(AccessOutcome::L1Hit, wait);
-                    w.clock += wait + l1_cost;
+                    let line = reads[cursor].addr.line(self.line_size);
+                    let wait = self.directory.busy_wait(line, w.clock);
+                    self.directory
+                        .record_precomputed(AccessOutcome::L1Hit, wait);
+                    w.clock += wait + self.l1_cost;
                     cursor += 1;
                 }
+                w.run_cursor = 0;
             }
             EvKind::Private {
                 addr,
@@ -1664,73 +1402,204 @@ fn merge_perturbed(
                 cost,
                 perturbation,
             } => {
-                merged_count += 1;
-                surfaced_count += 1;
+                self.merged += 1;
+                self.surfaced += 1;
                 w.clock += ev.lead;
-                let perturb = surface(
-                    observer,
+                // Stats were already counted by the precompute pass.
+                let perturb = self.surface(
                     w,
                     *addr,
                     *kind,
                     *outcome,
                     *cost,
                     *instrs_before,
-                    phase_index,
-                    true,
-                    *perturbation,
+                    Verdict {
+                        perturbation: *perturbation,
+                        surfaced: true,
+                    },
                 );
                 w.clock += cost + perturb;
             }
         }
-        let w = &mut merge_workers[slot];
         w.pending = Some(w.events.next().expect("Exit terminates the stream"));
+        Replayed::Completed
     }
-    counters.count_merged(merged_count);
-    counters.count_folded(folded_count);
-    counters.count_surfaced(surfaced_count);
-    counters.count_schedule(selections, reordered);
-    span.attr_str("policy", policy.to_string());
-    span.attr_u64("seed", seed);
-    span.attr_u64("merged", merged_count);
-    span.attr_u64("folded", folded_count);
-    span.attr_u64("surfaced", surfaced_count);
-    span.attr_u64("selections", selections);
-    span.attr_u64("reordered", reordered);
-    ends
+
+    /// Builds the access record and invokes the observer for a surfaced
+    /// access; returns the perturbation to charge (the replica's when one
+    /// was forked, otherwise the observer's).
+    #[allow(clippy::too_many_arguments)]
+    fn surface(
+        &mut self,
+        w: &MergeWorker<'_>,
+        addr: Addr,
+        kind: AccessKind,
+        outcome: AccessOutcome,
+        latency: Cycles,
+        instrs_before: u64,
+        verdict: Verdict,
+    ) -> Cycles {
+        verdict.charge(self.observer, || AccessRecord {
+            thread: w.id,
+            core: w.core,
+            addr,
+            kind,
+            outcome,
+            latency,
+            start: w.clock,
+            instrs_before,
+            phase_index: self.phase_index,
+            phase_kind: PhaseKind::Parallel,
+        })
+    }
 }
 
-/// Builds the access record and invokes the observer for a surfaced access;
-/// returns the perturbation to charge (the replica's when one was forked,
-/// otherwise the observer's).
-#[allow(clippy::too_many_arguments)]
-fn surface(
-    observer: &mut dyn ExecObserver,
-    w: &MergeWorker<'_>,
-    addr: Addr,
-    kind: AccessKind,
-    outcome: AccessOutcome,
-    latency: Cycles,
-    instrs_before: u64,
-    phase_index: u32,
-    surfaced: bool,
-    perturbation: Option<Cycles>,
-) -> Cycles {
-    Verdict {
-        perturbation,
-        surfaced,
+/// Merges the precomputed event streams, performing every shared-directory
+/// access and observer callback through one [`Replay`]; returns each
+/// worker's end time. `policy` only decides which worker goes next:
+///
+/// * [`SchedulePolicy::Observed`] pops a min-heap keyed by
+///   `(next event time, slot)` — the classic loop's heap order with FIFO
+///   events per worker — and replays the popped worker's events in a
+///   burst while no other worker could have an earlier one.
+/// * A perturbed policy draws one live worker per step from a generator
+///   seeded by the policy seed and phase index and replays its next event
+///   whole. Per-worker program order holds by construction; the directory
+///   sees the residue in selection order, so a write-shared line the
+///   observed timing kept apart is driven through the ping-pong a
+///   different scheduler could have produced. Busy-window waits saturate
+///   at the worker's own (possibly earlier) clock, so non-monotonic
+///   arrival times are safe, and the selections are a pure function of
+///   the seed and the plans — identical at every shard count.
+fn merge(
+    mut replay: Replay<'_>,
+    workers: &[ThreadCtx],
+    plans: &[WorkerPlan],
+    policy: SchedulePolicy,
+    counters: &SimCounters,
+    span: &mut cheetah_obs::SpanGuard,
+) -> Vec<Cycles> {
+    let mut merge_workers: Vec<MergeWorker<'_>> = workers
+        .iter()
+        .zip(plans)
+        .map(|(ctx, plan)| {
+            let mut events = plan.events.iter();
+            let pending = events.next();
+            MergeWorker {
+                id: ctx.id,
+                core: ctx.core,
+                clock: ctx.clock,
+                events,
+                hit_reads: &plan.hit_reads,
+                pending,
+                run_cursor: 0,
+            }
+        })
+        .collect();
+
+    let schedule = match policy {
+        SchedulePolicy::Observed => {
+            let mut heap: BinaryHeap<Reverse<(Cycles, usize)>> = merge_workers
+                .iter()
+                .enumerate()
+                .map(|(slot, w)| Reverse((w.next_time(), slot)))
+                .collect();
+            while let Some(Reverse((_, slot))) = heap.pop() {
+                // Replay this worker's events while no other worker could
+                // possibly have an earlier one (the classic loop's burst,
+                // in event units).
+                let horizon = heap.peek().map(|Reverse((t, _))| *t);
+                let w = &mut merge_workers[slot];
+                loop {
+                    match replay.event(w, horizon) {
+                        Replayed::Exited => break,
+                        Replayed::Yielded(at) => {
+                            heap.push(Reverse((at, slot)));
+                            break;
+                        }
+                        Replayed::Completed => {
+                            let next_time = w.next_time();
+                            if horizon.is_some_and(|h| next_time >= h) {
+                                heap.push(Reverse((next_time, slot)));
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+            None
+        }
+        SchedulePolicy::SeededShuffle { seed } | SchedulePolicy::ContentionMax { seed } => {
+            span.attr_str("policy", policy.to_string());
+            span.attr_u64("seed", seed);
+            let contend = matches!(policy, SchedulePolicy::ContentionMax { .. });
+            let mut rng = ScheduleRng::for_phase(seed, replay.phase_index);
+            let (mut selections, mut reordered) = (0u64, 0u64);
+            // Last core to *merge* a write per line — the contention
+            // heuristic's view of who owns each line right now.
+            let mut last_writer: FastMap<CacheLineId, CoreId> = FastMap::default();
+            let mut live: Vec<usize> = (0..merge_workers.len()).collect();
+            while !live.is_empty() {
+                // The contention heuristic prefers directory writes that
+                // land on a line a *different* core wrote last (each such
+                // merge is an invalidation); the shuffle — and the
+                // heuristic's fallback — draws uniformly among live
+                // workers.
+                let choice = if live.len() == 1 {
+                    0
+                } else if contend {
+                    let contending: Vec<usize> = (0..live.len())
+                        .filter(|&i| {
+                            let w = &merge_workers[live[i]];
+                            w.pending_write(replay.line_size).is_some_and(|line| {
+                                last_writer.get(&line).is_some_and(|&owner| owner != w.core)
+                            })
+                        })
+                        .collect();
+                    if contending.is_empty() {
+                        rng.pick(live.len())
+                    } else {
+                        contending[rng.pick(contending.len())]
+                    }
+                } else {
+                    rng.pick(live.len())
+                };
+                let slot = live[choice];
+                selections += 1;
+                let earliest = live
+                    .iter()
+                    .map(|&s| merge_workers[s].next_time())
+                    .min()
+                    .expect("live set is nonempty");
+                let w = &mut merge_workers[slot];
+                if w.next_time() > earliest {
+                    reordered += 1;
+                }
+                if contend {
+                    if let Some(line) = w.pending_write(replay.line_size) {
+                        last_writer.insert(line, w.core);
+                    }
+                }
+                if let Replayed::Exited = replay.event(w, None) {
+                    live.swap_remove(choice);
+                }
+            }
+            Some((selections, reordered))
+        }
+    };
+
+    counters.count_merged(replay.merged);
+    counters.count_folded(replay.folded);
+    counters.count_surfaced(replay.surfaced);
+    span.attr_u64("merged", replay.merged);
+    span.attr_u64("folded", replay.folded);
+    span.attr_u64("surfaced", replay.surfaced);
+    if let Some((selections, reordered)) = schedule {
+        counters.count_schedule(selections, reordered);
+        span.attr_u64("selections", selections);
+        span.attr_u64("reordered", reordered);
     }
-    .charge(observer, || AccessRecord {
-        thread: w.id,
-        core: w.core,
-        addr,
-        kind,
-        outcome,
-        latency,
-        start: w.clock,
-        instrs_before,
-        phase_index,
-        phase_kind: PhaseKind::Parallel,
-    })
+    merge_workers.iter().map(|w| w.clock).collect()
 }
 
 /// Applies `f` to every item on up to `threads` scoped host threads,

@@ -11,7 +11,10 @@
 //! (d) the contention the observed schedule of a staggered workload
 //!     hides is exposed by shuffled and contention-maximizing schedules.
 
-use cheetah_sim::metrics::{FOOTPRINT_VIOLATIONS, SCHED_SELECTIONS};
+use cheetah_sim::metrics::{
+    FOLDED_EVENTS, FOOTPRINT_VIOLATIONS, MERGED_EVENTS, SCHED_REORDERED, SCHED_SELECTIONS,
+    SURFACED_EVENTS,
+};
 use cheetah_sim::{
     AccessRecord, AccessStream, Addr, ByteExtent, Cycles, ExecObserver, Footprint, LoopStream,
     Machine, MachineConfig, ObsHandle, Op, OpsStream, ProgramBuilder, RunReport, SampleJudgement,
@@ -211,8 +214,25 @@ fn perturbed_schedules_respect_program_order_and_footprints() {
     }
 }
 
+/// The perturbed merge's counters: `(merged, folded, surfaced,
+/// selections, reordered)`.
+fn merge_counters(obs: &ObsHandle) -> [u64; 5] {
+    [
+        MERGED_EVENTS,
+        FOLDED_EVENTS,
+        SURFACED_EVENTS,
+        SCHED_SELECTIONS,
+        SCHED_REORDERED,
+    ]
+    .map(|name| obs.counter(name).get())
+}
+
 /// (c) A perturbed run is a pure function of `(seed, shards)` — repeated
-/// runs are bit-identical, and the shard count does not matter at all.
+/// runs are bit-identical, and the shard count does not matter at all:
+/// not to the report, not to the surfaced stream, and not to the merge's
+/// counters. Schedule decisions are counted identically at every shard
+/// count; the merged/folded/surfaced split is identical whenever serial
+/// phases also run sharded (shards ≥ 2).
 #[test]
 fn perturbed_runs_deterministic_and_shard_independent() {
     let apps = ["microbench", "streamcluster", "histogram"];
@@ -222,16 +242,62 @@ fn perturbed_runs_deterministic_and_shard_independent() {
             SchedulePolicy::SeededShuffle { seed: 11 },
             SchedulePolicy::ContentionMax { seed: 11 },
         ] {
-            let (report1, records1, _) = run_perturbed(app, policy, 1);
+            let (report1, records1, obs1) = run_perturbed(app, policy, 1);
+            let counters1 = merge_counters(&obs1);
+            let mut counters2 = None;
             for shards in [1u32, 2, 4] {
-                let (report, records, _) = run_perturbed(app, policy, shards);
+                let (report, records, obs) = run_perturbed(app, policy, shards);
                 assert_eq!(report1, report, "{name} under {policy} at {shards} shards");
                 assert_eq!(
                     records1, records,
                     "{name} stream under {policy} at {shards} shards"
                 );
+                let counters = merge_counters(&obs);
+                assert_eq!(
+                    counters1[3..],
+                    counters[3..],
+                    "{name} schedule counters under {policy} at {shards} shards"
+                );
+                if shards >= 2 {
+                    assert_eq!(
+                        *counters2.get_or_insert(counters),
+                        counters,
+                        "{name} merge counters under {policy} at {shards} shards"
+                    );
+                }
             }
         }
+    }
+
+    // Pinned values: streamcluster at 8 threads, no observer, 2 shards —
+    // `(total cycles, [merged, folded, surfaced, selections, reordered])`.
+    let app = cheetah_workloads::find("streamcluster").expect("registered workload");
+    let config = AppConfig::with_threads(8).scaled(0.05);
+    for (policy, cycles, counters) in [
+        (
+            SchedulePolicy::SeededShuffle { seed: 3 },
+            1_038_124,
+            [2842, 174_870, 0, 3120, 2695],
+        ),
+        (
+            SchedulePolicy::ContentionMax { seed: 3 },
+            1_055_308,
+            [2390, 175_322, 0, 3120, 2621],
+        ),
+    ] {
+        let obs = ObsHandle::fresh();
+        let machine = Machine::new(
+            MachineConfig::default()
+                .with_shards(2)
+                .with_schedule(policy)
+                .with_obs(obs.clone()),
+        );
+        let report = machine.run(app.build(&config).program, &mut cheetah_sim::NullObserver);
+        assert_eq!(
+            (report.total_cycles, merge_counters(&obs)),
+            (cycles, counters),
+            "streamcluster under {policy}"
+        );
     }
 }
 

@@ -30,16 +30,19 @@ const BASE_INNER: u64 = 40_000;
 /// paper's listing, so total work is fixed across thread counts.
 const TOTAL_ELEMS: u64 = 16;
 
+/// The most threads the microbenchmark supports: one element each.
+pub const MAX_THREADS: u32 = TOTAL_ELEMS as u32;
+
 /// Builds the microbenchmark.
 ///
 /// # Panics
 ///
-/// Panics if `config.threads` exceeds the total element count (the window would be
-/// empty).
+/// Panics if `config.threads` exceeds [`MAX_THREADS`] (the window would
+/// be empty).
 pub fn build(config: &AppConfig) -> WorkloadInstance {
     assert!(
-        u64::from(config.threads) <= TOTAL_ELEMS,
-        "at most {TOTAL_ELEMS} threads"
+        config.threads <= MAX_THREADS,
+        "at most {MAX_THREADS} threads"
     );
     let mut space = AddressSpace::new();
     let stride = if config.fixed { 64 } else { 4 };

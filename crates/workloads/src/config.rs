@@ -1,5 +1,7 @@
 //! Workload configuration.
 
+use std::fmt;
+
 /// Configuration for building one workload instance.
 ///
 /// The same application can be built broken (`fixed = false`, containing
@@ -57,16 +59,53 @@ impl AppConfig {
         ((base as f64 * self.scale) as u64).max(1)
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero threads or non-positive scale.
-    pub fn validate(&self) {
-        assert!(self.threads > 0, "at least one worker thread required");
-        assert!(self.scale > 0.0, "scale must be positive");
+    /// Validates the configuration: at least one thread and a positive,
+    /// finite scale. An app's own thread limit is checked by
+    /// [`App::try_build`](crate::App::try_build).
+    pub fn validate(&self) -> Result<(), AppConfigError> {
+        if self.threads == 0 {
+            return Err(AppConfigError::NoThreads);
+        }
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(AppConfigError::BadScale(self.scale));
+        }
+        Ok(())
     }
 }
+
+/// Why a workload cannot be built with an [`AppConfig`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum AppConfigError {
+    /// `threads` is zero.
+    NoThreads,
+    /// `scale` is not a positive finite number.
+    BadScale(f64),
+    /// The app supports at most `max` worker threads.
+    TooManyThreads {
+        /// The app's registry name.
+        app: &'static str,
+        /// The requested thread count.
+        threads: u32,
+        /// The app's limit.
+        max: u32,
+    },
+}
+
+impl fmt::Display for AppConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AppConfigError::NoThreads => f.write_str("at least one worker thread required"),
+            AppConfigError::BadScale(scale) => {
+                write!(f, "scale must be positive and finite, got {scale}")
+            }
+            AppConfigError::TooManyThreads { app, threads, max } => {
+                write!(f, "{app} supports at most {max} threads, got {threads}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AppConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -78,7 +117,7 @@ mod tests {
         assert_eq!(config.threads, 8);
         assert!(config.fixed);
         assert_eq!(config.scale, 0.5);
-        config.validate();
+        assert_eq!(config.validate(), Ok(()));
     }
 
     #[test]
@@ -91,6 +130,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
-        AppConfig::with_threads(0).validate();
+        assert_eq!(
+            AppConfig::with_threads(0).validate(),
+            Err(AppConfigError::NoThreads)
+        );
+        // `App::build` keeps its documented panic.
+        crate::find("blackscholes")
+            .expect("registered")
+            .build(&AppConfig::with_threads(0));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_scale_rejected() {
+        for scale in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                AppConfig::default().scaled(scale).validate(),
+                Err(AppConfigError::BadScale(scale))
+            );
+        }
+        let nan = AppConfig::default().scaled(f64::NAN).validate();
+        assert!(matches!(nan, Err(AppConfigError::BadScale(s)) if s.is_nan()));
     }
 }

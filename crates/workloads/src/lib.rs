@@ -34,7 +34,7 @@ pub mod patterns;
 pub mod registry;
 pub mod sweep;
 
-pub use config::AppConfig;
+pub use config::{AppConfig, AppConfigError};
 pub use instance::WorkloadInstance;
 pub use patterns::{OpTemplate, RandomStream, Segment, SegmentsStream};
 pub use registry::{evaluated_apps, find, repair_targets, App, Expectation, APPS};

@@ -2,7 +2,7 @@
 //! microbenchmark, addressable by name.
 
 use crate::apps;
-use crate::config::AppConfig;
+use crate::config::{AppConfig, AppConfigError};
 use crate::instance::WorkloadInstance;
 use std::fmt;
 
@@ -46,6 +46,8 @@ pub struct App {
     suite: &'static str,
     expectation: Expectation,
     builder: fn(&AppConfig) -> WorkloadInstance,
+    /// The most worker threads the app can be built with.
+    max_threads: u32,
 }
 
 impl App {
@@ -65,14 +67,29 @@ impl App {
         self.expectation
     }
 
+    /// Builds an instance, or reports why `config` cannot build this app:
+    /// an invalid configuration ([`AppConfig::validate`]) or more threads
+    /// than the app supports.
+    pub fn try_build(&self, config: &AppConfig) -> Result<WorkloadInstance, AppConfigError> {
+        config.validate()?;
+        if config.threads > self.max_threads {
+            return Err(AppConfigError::TooManyThreads {
+                app: self.name,
+                threads: config.threads,
+                max: self.max_threads,
+            });
+        }
+        Ok((self.builder)(config))
+    }
+
     /// Builds an instance.
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (zero threads or scale).
+    /// Panics if [`try_build`](App::try_build) rejects `config`.
     pub fn build(&self, config: &AppConfig) -> WorkloadInstance {
-        config.validate();
-        (self.builder)(config)
+        self.try_build(config)
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 }
 
@@ -94,144 +111,168 @@ pub const APPS: &[App] = &[
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::blackscholes,
+        max_threads: u32::MAX,
     },
     App {
         name: "bodytrack",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::bodytrack,
+        max_threads: u32::MAX,
     },
     App {
         name: "canneal",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::canneal,
+        max_threads: u32::MAX,
     },
     App {
         name: "facesim",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::facesim,
+        max_threads: u32::MAX,
     },
     App {
         name: "fluidanimate",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::fluidanimate,
+        max_threads: u32::MAX,
     },
     App {
         name: "freqmine",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::freqmine,
+        max_threads: u32::MAX,
     },
     App {
         name: "histogram",
         suite: "phoenix",
         expectation: Expectation::MinorFalseSharing,
         builder: apps::phoenix::histogram,
+        max_threads: u32::MAX,
     },
     App {
         name: "kmeans",
         suite: "phoenix",
         expectation: Expectation::NoFalseSharing,
         builder: apps::phoenix::kmeans,
+        max_threads: u32::MAX,
     },
     App {
         name: "linear_regression",
         suite: "phoenix",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::linear_regression::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "matrix_multiply",
         suite: "phoenix",
         expectation: Expectation::NoFalseSharing,
         builder: apps::phoenix::matrix_multiply,
+        max_threads: u32::MAX,
     },
     App {
         name: "pca",
         suite: "phoenix",
         expectation: Expectation::NoFalseSharing,
         builder: apps::phoenix::pca,
+        max_threads: u32::MAX,
     },
     App {
         name: "string_match",
         suite: "phoenix",
         expectation: Expectation::NoFalseSharing,
         builder: apps::phoenix::string_match,
+        max_threads: u32::MAX,
     },
     App {
         name: "reverse_index",
         suite: "phoenix",
         expectation: Expectation::MinorFalseSharing,
         builder: apps::phoenix::reverse_index,
+        max_threads: u32::MAX,
     },
     App {
         name: "streamcluster",
         suite: "parsec",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::streamcluster::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "swaptions",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::swaptions,
+        max_threads: u32::MAX,
     },
     App {
         name: "word_count",
         suite: "phoenix",
         expectation: Expectation::MinorFalseSharing,
         builder: apps::phoenix::word_count,
+        max_threads: u32::MAX,
     },
     App {
         name: "x264",
         suite: "parsec",
         expectation: Expectation::NoFalseSharing,
         builder: apps::parsec::x264,
+        max_threads: u32::MAX,
     },
     App {
         name: "microbench",
         suite: "micro",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::microbench::build,
+        max_threads: apps::microbench::MAX_THREADS,
     },
     App {
         name: "inter_object",
         suite: "micro",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::interobject::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "packed_triplet",
         suite: "micro",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::packed_triplet::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "struct_straddle",
         suite: "micro",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::struct_straddle::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "reader_writer",
         suite: "micro",
         expectation: Expectation::SignificantFalseSharing,
         builder: apps::reader_writer::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "streaming_histogram",
         suite: "micro",
         expectation: Expectation::MinorFalseSharing,
         builder: apps::streaming_histogram::build,
+        max_threads: u32::MAX,
     },
     App {
         name: "staggered_writers",
         suite: "micro",
         expectation: Expectation::HiddenFalseSharing,
         builder: apps::staggered_writers::build,
+        max_threads: u32::MAX,
     },
 ];
 
@@ -259,6 +300,36 @@ pub fn find(name: &str) -> Option<&'static App> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_build_reports_bad_configs() {
+        let micro = find("microbench").expect("registered");
+        assert_eq!(
+            micro.try_build(&AppConfig::with_threads(17)).err(),
+            Some(AppConfigError::TooManyThreads {
+                app: "microbench",
+                threads: 17,
+                max: 16,
+            })
+        );
+        assert!(micro.try_build(&AppConfig::with_threads(16)).is_ok());
+        for app in APPS {
+            assert_eq!(
+                app.try_build(&AppConfig::with_threads(0)).err(),
+                Some(AppConfigError::NoThreads),
+                "{}",
+                app.name()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "microbench supports at most 16 threads")]
+    fn build_panics_on_a_bad_config() {
+        find("microbench")
+            .expect("registered")
+            .build(&AppConfig::with_threads(17));
+    }
 
     #[test]
     fn seventeen_evaluated_apps() {

@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn cells_build_valid_configs() {
         for cell in table2_matrix() {
-            cell.app_config().validate();
+            assert_eq!(cell.app_config().validate(), Ok(()));
             assert!(cell.period > 0);
             assert!(cell.cores >= cell.threads);
             assert!(cell.max_iterations >= 8);

@@ -24,13 +24,25 @@ use cheetah::repair::{converge, ConvergeConfig, ValidationHarness};
 use cheetah::sim::{Machine, MachineConfig};
 use cheetah::workloads::{find, AppConfig};
 
+const USAGE: &str = "repair_validate [--trace out.json]";
+
+fn usage_exit(error: &str) -> ! {
+    eprintln!("error: {error}\nusage: {USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut trace_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
-            other => panic!("unknown argument {other}"),
+            "--trace" => {
+                let path = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit("--trace needs a path"));
+                trace_path = Some(path);
+            }
+            other => usage_exit(&format!("unknown argument {other:?}")),
         }
     }
     let obs = if trace_path.is_some() {
