@@ -7,7 +7,12 @@
 //! matrix cell (a native run and a profiled run of both the broken and the
 //! repaired build) at several shard counts, and verifies on the way that
 //! every shard count produces the bit-identical [`cheetah_sim::RunReport`]
-//! (determinism is a hard failure here, not a statistic).
+//! (determinism is a hard failure here, not a statistic). It also checks
+//! each cell's classic loop against a footprint-free reference: the broken
+//! build's native report at `shards = 1`, where workers run ahead through
+//! the lines their footprints declare private, must equal the same build
+//! run under an observer that sees every access, which keeps every access
+//! in strict time order.
 //!
 //! Each cell runs as the **median of N repeats** (rep-major, so slow drift
 //! cannot bias one shard count), and the [`cheetah_sim::metrics`] counters
@@ -57,7 +62,7 @@ use cheetah_bench::{
 use cheetah_core::{CheetahConfig, CheetahProfiler};
 use cheetah_obs::json::{self, Value};
 use cheetah_obs::ObsHandle;
-use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver, RunReport};
+use cheetah_sim::{metrics, ExecObserver, Machine, MachineConfig, NullObserver, RunReport};
 use cheetah_workloads::{find, table2_matrix, SweepCell, SWEEP_THREAD_COUNTS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -151,6 +156,28 @@ fn run_cell(cell: &SweepCell, shards: u32, obs: &ObsHandle) -> (RunReport, u128,
         wall,
         Events::read(obs),
     )
+}
+
+/// Sees every access and charges nothing: the classic loop then orders
+/// every access, so no declared footprint is trusted.
+struct StrictOrder;
+
+impl ExecObserver for StrictOrder {}
+
+/// Asserts that the cell's broken build reports the same at `shards = 1`
+/// with run-ahead (a [`NullObserver`] run) as in strict time order.
+fn assert_run_ahead_exact(cell: &SweepCell) {
+    let machine = Machine::new(MachineConfig::with_cores(cell.cores));
+    let run = |observer: &mut dyn ExecObserver| {
+        machine.run(cell.app.build(&cell.app_config()).program, observer)
+    };
+    assert_eq!(
+        run(&mut NullObserver),
+        run(&mut StrictOrder),
+        "{} threads={}: the classic loop's run-ahead diverged from strict order",
+        cell.app.name(),
+        cell.threads
+    );
 }
 
 /// Runs one profiled broken-build execution with per-phase state-hash
@@ -466,6 +493,7 @@ fn main() {
 
     let mut records: Vec<Record> = Vec::new();
     for cell in &cells {
+        assert_run_ahead_exact(cell);
         // Median-of-reps, rep-major: interleaving shard counts within each
         // rep keeps slow drift (thermal, noisy neighbours) from biasing
         // one shard count's measurements against another's — and a median

@@ -1,20 +1,24 @@
 //! The execution engine: runs a [`Program`] on a simulated machine.
 //!
 //! Threads in a parallel phase are interleaved by a discrete-event loop
-//! keyed on per-thread virtual clocks, so memory accesses reach the
-//! coherence [`Directory`] in global time order and write ping-pong between
-//! cores unfolds exactly as on a real machine. The engine is fully
+//! keyed on per-thread virtual clocks, so every access another thread or
+//! the observer can see reaches the coherence [`Directory`] in global time
+//! order and write ping-pong between cores unfolds exactly as on a real
+//! machine. Between turns, a thread runs ahead through the ops no one else
+//! can see (see `Execution::run_parallel`). The engine is fully
 //! deterministic: identical programs produce identical reports.
 
 use crate::checkpoint::{Checkpoint, ResumeError};
 use crate::coherence::{Directory, MAX_CORES};
+use crate::extent::{byte_to_line_extents, ClassCursor, ClassTable, ExtClass};
+use crate::footprint::Footprint;
 use crate::latency::LatencyModel;
 use crate::metrics::SimCounters;
-use crate::observer::{AccessRecord, ExecObserver, ForkJudge};
+use crate::observer::{AccessRecord, ExecObserver, ForkJudge, Verdict};
 use crate::program::{AccessStream, Op, Phase, Program};
 use crate::report::{PhaseReport, RunReport, ThreadReport};
 use crate::schedule::SchedulePolicy;
-use crate::types::{AccessKind, CoreId, Cycles, PhaseKind, ThreadId};
+use crate::types::{AccessKind, Addr, CoreId, Cycles, PhaseKind, ThreadId};
 use cheetah_obs::{Fnv64, ObsHandle};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,12 +47,18 @@ pub struct MachineConfig {
     /// single-threaded discrete-event loop, which steps every access
     /// through the directory and surfaces to the observer only the
     /// accesses its sampling replica judges sampled (see
-    /// [`crate::ThreadSampler`]); `0` means "auto" (the host's available
-    /// parallelism); `>= 2` executes each parallel phase in two passes —
-    /// per-worker event precomputation fanned out over this many host
-    /// threads, then a deterministic merge ordered by
-    /// `(timestamp, worker, seq)` (see [`crate::shard`]). Reports are
-    /// bit-identical for every value; only wall-clock time changes.
+    /// [`crate::ThreadSampler`]). Workers take turns in time order only at
+    /// accesses another worker or the observer can see; between turns a
+    /// worker runs ahead through its work and its unsampled accesses to
+    /// lines its declared footprint owns alone (when every stream declares
+    /// a [`crate::Footprint::Bounded`] and no two workers share a core).
+    /// [`crate::metrics::CLASSIC_SWITCHES`] counts the turns. `0` means
+    /// "auto" (the host's available parallelism); `>= 2` executes each
+    /// parallel phase in two passes — per-worker event precomputation
+    /// fanned out over this many host threads, then a deterministic merge
+    /// ordered by `(timestamp, worker, seq)` (see [`crate::shard`]).
+    /// Reports are bit-identical for every value; only wall-clock time
+    /// changes.
     pub shards: u32,
     /// Telemetry registry the run reports into: execution counters
     /// ([`crate::metrics`]), per-phase spans and, when [`witness`] is set,
@@ -404,6 +414,9 @@ struct Execution<'a> {
     /// Accesses replayed individually by the classic loop (flushed into
     /// the run's counters once per run to keep atomics off the hot path).
     classic_ops: u64,
+    /// Heap pops of the classic loop's parallel phases (flushed like
+    /// `classic_ops`).
+    classic_switches: u64,
     /// The run's counter handles, resolved once from `config.obs`.
     counters: SimCounters,
 }
@@ -420,6 +433,7 @@ impl<'a> Execution<'a> {
             latency: config.latency.clone(),
             shards: config.resolved_shards(),
             classic_ops: 0,
+            classic_switches: 0,
             counters: SimCounters::of(&config.obs),
         }
     }
@@ -668,6 +682,7 @@ impl<'a> Execution<'a> {
         );
 
         self.counters.count_merged(self.classic_ops);
+        self.counters.count_switches(self.classic_switches);
         let report = RunReport {
             program: program_name,
             total_cycles: total,
@@ -681,20 +696,40 @@ impl<'a> Execution<'a> {
     /// Runs the main thread's stream to exhaustion (serial phase).
     fn run_serial(&mut self, main: &mut ThreadCtx, phase_index: u32) {
         let mut judge = ForkJudge::fork(self.observer, main.id, main.judged);
-        while let Some(op) = main.stream.next_op() {
-            self.step(main, &mut judge, op, phase_index, PhaseKind::Serial);
+        while let Some(op) = pull(main, &mut judge) {
+            self.step(main, op, phase_index, PhaseKind::Serial);
         }
         main.judged = judge.last_judged();
     }
 
     /// Runs all workers of a parallel phase to completion; returns each
     /// worker's end time, in the same order as `workers`.
+    ///
+    /// Workers take turns in `(clock, slot)` order, so every access another
+    /// worker or the observer can see reaches the directory in global time
+    /// order. Between turns a worker **runs ahead** through the ops nobody
+    /// else can see: work, and unsampled accesses to lines its declared
+    /// footprint owns alone in the phase (see [`Execution::private_lines`]).
+    /// Such a line never queues — pre-phase transactions complete before
+    /// spawn and the worker's clock passes its own busy windows — and its
+    /// MESI transitions, LLC residency, the core's prefetch cursor and the
+    /// commutative statistics depend on no other worker, so running it
+    /// early changes nothing but host order. Every other op is *ordered*:
+    /// it runs only while its worker holds the global `(clock, slot)`
+    /// minimum; otherwise the worker parks it, already pulled and judged,
+    /// and re-queues. Each access is judged once, in program order, when
+    /// it is pulled.
     fn run_parallel(&mut self, workers: &mut [ThreadCtx], phase_index: u32) -> Vec<Cycles> {
         let mut ends = vec![0; workers.len()];
         let mut judges: Vec<ForkJudge> = workers
             .iter()
             .map(|w| ForkJudge::fork(self.observer, w.id, w.judged))
             .collect();
+        let private = self.private_lines(workers);
+        let mut cursors = vec![ClassCursor::default(); workers.len()];
+        // The ordered op each re-queued worker stopped at (`None`: its
+        // exit), pulled and judged.
+        let mut parked: Vec<Option<Option<Pulled>>> = vec![None; workers.len()];
         // Min-heap on (clock, slot); slot as tiebreak keeps runs
         // deterministic when clocks collide.
         let mut heap: BinaryHeap<Reverse<(Cycles, usize)>> = workers
@@ -702,64 +737,94 @@ impl<'a> Execution<'a> {
             .enumerate()
             .map(|(slot, w)| Reverse((w.clock, slot)))
             .collect();
+        let line_size = self.config.cache_line_size;
         while let Some(Reverse((_, slot))) = heap.pop() {
-            // Run this worker while no other worker could possibly issue an
-            // earlier operation (exact event ordering, amortised heap cost).
-            let horizon = heap.peek().map(|Reverse((clock, _))| *clock);
-            let finished = {
-                let worker = &mut workers[slot];
-                let judge = &mut judges[slot];
-                loop {
-                    match worker.stream.next_op() {
-                        Some(op) => {
-                            self.step(worker, judge, op, phase_index, PhaseKind::Parallel);
-                            if let Some(h) = horizon {
-                                if worker.clock >= h {
-                                    break false;
-                                }
-                            }
-                        }
-                        None => break true,
+            self.classic_switches += 1;
+            let horizon = heap.peek().map(|Reverse(key)| *key);
+            let worker = &mut workers[slot];
+            let judge = &mut judges[slot];
+            let mut next = parked[slot].take().unwrap_or_else(|| pull(worker, judge));
+            let finished = loop {
+                let ordered = match next {
+                    None => true,
+                    Some(Pulled::Work(_)) => false,
+                    Some(Pulled::Access { addr, verdict, .. }) => {
+                        verdict.surfaced
+                            || private.as_ref().is_none_or(|table| {
+                                cursors[slot].class(table, addr.line(line_size))
+                                    != ExtClass::Private(slot as u32)
+                            })
                     }
+                };
+                if ordered && horizon.is_some_and(|h| (worker.clock, slot) > h) {
+                    parked[slot] = Some(next);
+                    break false;
                 }
+                match next {
+                    Some(op) => self.step(worker, op, phase_index, PhaseKind::Parallel),
+                    None => break true,
+                }
+                next = pull(worker, judge);
             };
+            let worker = &workers[slot];
             if finished {
-                let worker = &workers[slot];
                 ends[slot] = worker.clock;
                 self.observer.on_thread_exit(worker.id, worker.clock);
             } else {
-                heap.push(Reverse((workers[slot].clock, slot)));
+                heap.push(Reverse((worker.clock, slot)));
             }
         }
         ends
     }
 
+    /// The phase's line classes when workers may run ahead through their
+    /// private lines: every stream declares a bounded footprint and every
+    /// worker owns its core (the sharded executor's condition), and there
+    /// is another worker to run ahead of. The classic loop *trusts* the
+    /// declared footprints exactly as the sharded executor does: a
+    /// violating stream's own accesses stay ordered (a line outside its
+    /// footprint is never private to it), and only a worker whose private
+    /// line a violator touches can run ahead of that violator —
+    /// deterministically, but no longer in strict time order.
+    fn private_lines(&self, workers: &[ThreadCtx]) -> Option<ClassTable> {
+        if workers.len() < 2 || workers.len() as u32 > self.config.num_cores {
+            return None;
+        }
+        let per_worker = workers
+            .iter()
+            .map(|w| match w.stream.footprint() {
+                Footprint::Bounded(extents) => {
+                    Some(byte_to_line_extents(&extents, self.config.cache_line_size))
+                }
+                Footprint::Unknown => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(ClassTable::build(&per_worker))
+    }
+
     /// Executes one operation on behalf of `thread`, advancing its clock;
-    /// an access reaches the observer only when `judge` surfaces it.
+    /// an access reaches the observer only when its verdict surfaces it.
     fn step(
         &mut self,
         thread: &mut ThreadCtx,
-        judge: &mut ForkJudge,
-        op: Op,
+        op: Pulled,
         phase_index: u32,
         phase_kind: PhaseKind,
     ) {
         match op {
-            Op::Work(n) => {
+            Pulled::Work(n) => {
                 thread.instructions += n;
                 thread.clock += n * self.latency.cycles_per_instruction;
             }
-            Op::Read(addr) | Op::Write(addr) => {
+            Pulled::Access {
+                addr,
+                kind,
+                verdict,
+            } => {
                 self.classic_ops += 1;
-                let kind = if matches!(op, Op::Write(_)) {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
                 let line = addr.line(self.config.cache_line_size);
                 let result = self.directory.access(thread.core, line, kind, thread.clock);
                 let latency = result.latency();
-                let verdict = judge.judge(thread.instructions);
                 let perturbation = verdict.charge(self.observer, || AccessRecord {
                     thread: thread.id,
                     core: thread.core,
@@ -781,6 +846,38 @@ impl<'a> Execution<'a> {
             }
         }
     }
+}
+
+/// One op pulled from a thread's stream. An access carries the verdict its
+/// thread's sampling judge gave it when pulled: judging follows program
+/// order, while the access itself may wait for the worker's turn.
+#[derive(Debug, Clone, Copy)]
+enum Pulled {
+    Work(u64),
+    Access {
+        addr: Addr,
+        kind: AccessKind,
+        verdict: Verdict,
+    },
+}
+
+/// Pulls `thread`'s next op, judging it if it is an access; `None` once the
+/// stream is exhausted.
+#[inline]
+fn pull(thread: &mut ThreadCtx, judge: &mut ForkJudge) -> Option<Pulled> {
+    Some(match thread.stream.next_op()? {
+        Op::Work(n) => Pulled::Work(n),
+        Op::Read(addr) => Pulled::Access {
+            addr,
+            kind: AccessKind::Read,
+            verdict: judge.judge(thread.instructions),
+        },
+        Op::Write(addr) => Pulled::Access {
+            addr,
+            kind: AccessKind::Write,
+            verdict: judge.judge(thread.instructions),
+        },
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Extent-based line classification for sharded execution.
+//! Extent-based line classification of parallel phases.
 //!
 //! A parallel phase's lines are classified by who touches them: private
 //! (one worker), read-shared (several workers, no writes) or write-shared.
@@ -12,7 +12,13 @@
 //! [`ClassExtent`] table. Classification cost is proportional to the
 //! number of *extents moved*, not lines touched — the cache-conscious
 //! batching argument, applied to the simulator's own bookkeeping.
+//!
+//! Both parallel-phase executors use the table, and resolve a line's class
+//! through a [`ClassCursor`]: the sharded executor simulates private lines
+//! apart from its merge and folds read-shared hits, and the classic loop
+//! lets a worker run ahead through its private lines.
 
+use crate::footprint::ByteExtent;
 use crate::types::CacheLineId;
 use crate::util::FastMap;
 
@@ -128,11 +134,6 @@ impl ClassTable {
         ClassTable { extents }
     }
 
-    /// The classified extents, sorted and disjoint.
-    pub(crate) fn extents(&self) -> &[ClassExtent] {
-        &self.extents
-    }
-
     /// Looks the line's extent index up by binary search; `None` when the
     /// line lies outside every declared footprint (a contract violation by
     /// some stream).
@@ -140,6 +141,105 @@ impl ClassTable {
         let idx = self.extents.partition_point(|e| e.end <= line.0);
         (idx < self.extents.len() && self.extents[idx].start <= line.0).then_some(idx)
     }
+}
+
+/// Resolves lines to their [`ExtClass`] through a phase's [`ClassTable`],
+/// one cursor per worker: a range comparison against the two most
+/// recently used extents in the common case (inner loops commonly
+/// alternate between a private stream and one shared object, which a
+/// single cached extent would miss on every access), a binary search
+/// otherwise.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassCursor {
+    cur: ClassExtent,
+    other: ClassExtent,
+    /// `cur` is a stand-in for a line outside every extent; it never moves
+    /// to `other`, so every return to such a line is looked up (and
+    /// counted in `misses`).
+    cur_violation: bool,
+    /// Lookups that found no extent: accesses outside every declared
+    /// footprint (contract violations by some stream).
+    pub(crate) misses: u64,
+}
+
+impl Default for ClassCursor {
+    fn default() -> Self {
+        let empty = ClassExtent {
+            start: 1,
+            end: 0,
+            class: ExtClass::WriteShared,
+        };
+        ClassCursor {
+            cur: empty,
+            other: empty,
+            cur_violation: false,
+            misses: 0,
+        }
+    }
+}
+
+impl ClassCursor {
+    /// The class of `line`. A line outside every extent resolves to
+    /// [`ExtClass::WriteShared`], the fully-ordered class that is correct
+    /// for any sharing pattern.
+    #[inline]
+    pub(crate) fn class(&mut self, table: &ClassTable, line: CacheLineId) -> ExtClass {
+        if !(self.cur.start <= line.0 && line.0 < self.cur.end) {
+            self.advance(table, line);
+        }
+        self.cur.class
+    }
+
+    fn advance(&mut self, table: &ClassTable, line: CacheLineId) {
+        let found = if self.other.start <= line.0 && line.0 < self.other.end {
+            Some(self.other)
+        } else {
+            table.find(line).map(|idx| table.extents[idx])
+        };
+        if !self.cur_violation {
+            self.other = self.cur;
+        }
+        self.cur_violation = found.is_none();
+        self.cur = found.unwrap_or_else(|| {
+            self.misses += 1;
+            ClassExtent {
+                start: line.0,
+                end: line.0 + 1,
+                class: ExtClass::WriteShared,
+            }
+        });
+    }
+}
+
+/// Converts a stream's byte-extent footprint to line extents, merging
+/// line-granularity overlaps (with OR'd write flags — a sound widening).
+pub(crate) fn byte_to_line_extents(extents: &[ByteExtent], line_size: u64) -> Vec<LineExtent> {
+    let mut out: Vec<LineExtent> = Vec::with_capacity(extents.len());
+    for extent in extents {
+        // Empty extents claim nothing (and would underflow the line
+        // conversion below); hand-built footprints may contain them.
+        if extent.start >= extent.end {
+            continue;
+        }
+        let start = extent.start / line_size;
+        let end = (extent.end - 1) / line_size + 1;
+        match out.last_mut() {
+            Some(last) if start < last.end => {
+                // Same or overlapping line(s): widen.
+                last.end = last.end.max(end);
+                last.wrote |= extent.wrote;
+            }
+            Some(last) if start == last.end && last.wrote == extent.wrote => {
+                last.end = end;
+            }
+            _ => out.push(LineExtent {
+                start,
+                end,
+                wrote: extent.wrote,
+            }),
+        }
+    }
+    out
 }
 
 /// Coalesces one worker's exact per-line touch map (the materialisation
@@ -267,7 +367,7 @@ mod tests {
     fn disjoint_extents_are_private() {
         let table = ClassTable::build(&[vec![ext(0, 10, true)], vec![ext(10, 20, false)]]);
         assert_eq!(
-            table.extents(),
+            table.extents.as_slice(),
             &[
                 ClassExtent {
                     start: 0,
@@ -288,7 +388,7 @@ mod tests {
         // Worker 0 reads [0,20); worker 1 writes [10,30).
         let table = ClassTable::build(&[vec![ext(0, 20, false)], vec![ext(10, 30, true)]]);
         assert_eq!(
-            table.extents(),
+            table.extents.as_slice(),
             &[
                 ClassExtent {
                     start: 0,
@@ -317,7 +417,7 @@ mod tests {
             vec![ext(5, 15, false)],
         ]);
         assert_eq!(
-            table.extents(),
+            table.extents.as_slice(),
             &[ClassExtent {
                 start: 5,
                 end: 15,
@@ -332,7 +432,7 @@ mod tests {
         // same lines; alone it is still private.
         let table = ClassTable::build(&[vec![ext(0, 8, false), ext(0, 8, true)]]);
         assert_eq!(
-            table.extents(),
+            table.extents.as_slice(),
             &[ClassExtent {
                 start: 0,
                 end: 8,
@@ -353,9 +453,9 @@ mod tests {
     #[test]
     fn touching_extents_of_different_workers_do_not_mix() {
         let table = ClassTable::build(&[vec![ext(0, 10, true)], vec![ext(10, 20, true)]]);
-        assert_eq!(table.extents().len(), 2);
-        assert!(matches!(table.extents()[0].class, ExtClass::Private(0)));
-        assert!(matches!(table.extents()[1].class, ExtClass::Private(1)));
+        assert_eq!(table.extents.len(), 2);
+        assert!(matches!(table.extents[0].class, ExtClass::Private(0)));
+        assert!(matches!(table.extents[1].class, ExtClass::Private(1)));
     }
 
     #[test]

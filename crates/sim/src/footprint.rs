@@ -1,9 +1,11 @@
 //! Access footprints: byte-range summaries of everything a stream may
 //! touch, declared *before* the stream is consumed.
 //!
-//! The sharded executor classifies cache lines by who touches them in a
-//! phase. Discovering that per line — draining every stream into a trace
-//! and recording each touched line in a hash map — is exactly the per-line
+//! Both parallel-phase executors classify cache lines by who touches them
+//! in a phase: the sharded executor to simulate private lines apart from
+//! the merge, the classic loop to let a worker run ahead through them.
+//! Discovering that per line — draining every stream into a trace and
+//! recording each touched line in a hash map — is exactly the per-line
 //! overhead that caps streaming workloads near 1x. Most workload streams
 //! are tiny state machines over a few contiguous slices (a per-thread input
 //! window, a scratch block, a shared table), so they can *declare* their
@@ -18,9 +20,15 @@
 //! write must lie in some extent with `wrote = true`. Over-approximation is
 //! safe — a line claimed but never touched at worst demotes a neighbour
 //! from "private" to "shared", which is always executed correctly, just
-//! without the fast path. Under-approximation is a contract violation and
-//! the sharded executor aborts with a panic naming the stream's worker
-//! rather than risk a silently wrong classification.
+//! without the fast path. Under-approximation is a contract violation,
+//! and both executors *trust* the declaration. A violating stream's own
+//! stray accesses are always simulated in global order (a line outside its
+//! footprint is never private to it; the sharded executor also counts them
+//! in `sim.footprint_violations`). But a worker whose declared-private line
+//! a violator touches may simulate that line ahead of the violator: the
+//! run stays deterministic, no longer in strict time order. Audit mode
+//! ([`crate::MachineConfig::audit_footprints`]) checks every access, and
+//! `cheetah-analyze --lint` gates zero violations registry-wide.
 
 use crate::types::Addr;
 

@@ -24,6 +24,13 @@ use cheetah_obs::{Counter, ObsHandle};
 /// each walked hit-run read, each heap pop and each surfaced access the
 /// merge replays one by one.
 pub const MERGED_EVENTS: &str = "sim.merged_events";
+/// Counter name for the classic loop's scheduling steps: one per pop of
+/// its `(clock, slot)` heap in a parallel phase. A popped worker runs
+/// ahead through its work and unsampled private-line accesses and yields
+/// only at an access another worker or the observer can see, so
+/// `classic_switches / merged_events` measures how much of the
+/// interleaving run-ahead saved. Zero for sharded phases.
+pub const CLASSIC_SWITCHES: &str = "sim.classic_switches";
 /// Counter name for accesses folded in batches without individual
 /// global-order processing: precomputed private accesses absorbed into
 /// event leads and settled hit-run reads folded in O(1) per run.
@@ -67,6 +74,7 @@ pub const RESUMED_PHASES: &str = "sim.resumed_phases";
 #[derive(Debug, Clone)]
 pub(crate) struct SimCounters {
     merged: Counter,
+    switches: Counter,
     folded: Counter,
     surfaced: Counter,
     classify_ns: Counter,
@@ -82,6 +90,7 @@ impl SimCounters {
     pub(crate) fn of(obs: &ObsHandle) -> SimCounters {
         SimCounters {
             merged: obs.counter(MERGED_EVENTS),
+            switches: obs.counter(CLASSIC_SWITCHES),
             folded: obs.counter(FOLDED_EVENTS),
             surfaced: obs.counter(SURFACED_EVENTS),
             classify_ns: obs.counter(CLASSIFY_NS),
@@ -106,6 +115,12 @@ impl SimCounters {
     #[inline]
     pub(crate) fn count_merged(&self, n: u64) {
         self.merged.add(n);
+    }
+
+    /// Adds `n` classic-loop scheduling steps.
+    #[inline]
+    pub(crate) fn count_switches(&self, n: u64) {
+        self.switches.add(n);
     }
 
     /// Adds `n` batch-folded accesses.

@@ -1,12 +1,14 @@
 //! Sharded deterministic execution of parallel phases.
 //!
 //! The classic engine ([`crate::exec`]) interleaves every thread of a
-//! parallel phase through one discrete-event loop: each memory access takes
-//! a heap scheduling step and a shared-directory probe on one host thread
-//! (the observer hears only of the accesses the thread's sampling replica
-//! judges sampled — the same judge this module uses). This module executes
-//! the same phase in two passes whose result is **bit-identical** to the
-//! classic loop:
+//! parallel phase through one discrete-event loop on one host thread:
+//! every memory access takes a shared-directory probe, and every access
+//! another worker or the observer can see waits for a heap scheduling
+//! step (a worker runs ahead through its unsampled private-line accesses
+//! between steps; the observer hears only of the accesses the thread's
+//! sampling replica judges sampled — the same judge this module uses).
+//! This module executes the same phase in two passes whose result is
+//! **bit-identical** to the classic loop:
 //!
 //! 1. **Precompute** (fanned out over host threads): each worker's access
 //!    stream is replayed *locally*. Three facts make most of the work
@@ -108,7 +110,10 @@
 
 use crate::coherence::{prefetchable, transition, Directory, LineState};
 use crate::exec::{MachineConfig, ThreadCtx, OBS_LANE_ENGINE};
-use crate::extent::{extents_from_touched, ClassTable, ExtClass, LineExtent, RangeList};
+use crate::extent::{
+    byte_to_line_extents, extents_from_touched, ClassCursor, ClassTable, ExtClass, LineExtent,
+    RangeList,
+};
 use crate::footprint::Footprint;
 use crate::latency::{AccessOutcome, LatencyModel};
 use crate::metrics::SimCounters;
@@ -832,40 +837,6 @@ pub(crate) fn run_parallel_sharded(
     ends
 }
 
-/// Converts a stream's byte-extent footprint to line extents, merging
-/// line-granularity overlaps (with OR'd write flags — a sound widening).
-fn byte_to_line_extents(
-    extents: &[crate::footprint::ByteExtent],
-    line_size: u64,
-) -> Vec<LineExtent> {
-    let mut out: Vec<LineExtent> = Vec::with_capacity(extents.len());
-    for extent in extents {
-        // Empty extents claim nothing (and would underflow the line
-        // conversion below); hand-built footprints may contain them.
-        if extent.start >= extent.end {
-            continue;
-        }
-        let start = extent.start / line_size;
-        let end = (extent.end - 1) / line_size + 1;
-        match out.last_mut() {
-            Some(last) if start < last.end => {
-                // Same or overlapping line(s): widen.
-                last.end = last.end.max(end);
-                last.wrote |= extent.wrote;
-            }
-            Some(last) if start == last.end && last.wrote == extent.wrote => {
-                last.end = end;
-            }
-            _ => out.push(LineExtent {
-                start,
-                end,
-                wrote: extent.wrote,
-            }),
-        }
-    }
-    out
-}
-
 /// Drains a stream into a compact access vector and records which lines it
 /// touches.
 ///
@@ -909,9 +880,8 @@ fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
 /// every access through the sampling replica, and folds everything that
 /// needs no global time into event leads.
 ///
-/// A line's class is resolved through the phase's extent table with a
-/// range comparison against two cached extents in the common case; private
-/// lines run through [`PrivateSim`]. (Serial phases do not come through
+/// A line's class is resolved through the phase's extent table by a
+/// [`ClassCursor`]; private lines run through [`PrivateSim`]. (Serial phases do not come through
 /// here — they use the fused loop in [`run_serial_sharded`].)
 #[allow(clippy::too_many_arguments)]
 fn precompute_worker(
@@ -935,16 +905,7 @@ fn precompute_worker(
     // `last.0 + 1` of the previously touched line; u64::MAX when none.
     let mut next_sequential: u64 = last_line.map_or(u64::MAX, |l| l.0.wrapping_add(1));
     let mut final_line = last_line;
-    // The two most recently used classified extents (the extent table's
-    // hot path): inner loops commonly alternate between a private stream
-    // and one shared object, which a single cached extent would miss on
-    // every access.
-    let extents = table.extents();
-    let (mut cur_start, mut cur_end, mut cur_class) = (1u64, 0u64, ExtClass::WriteShared);
-    let mut other = (1u64, 0u64, ExtClass::WriteShared);
-    // The current extent is a contract-violation stand-in; it never moves
-    // to `other`, so every return to the line is looked up (and counted).
-    let mut cur_violation = false;
+    let mut cursor = ClassCursor::default();
     // Read-shared lines this worker has first-touched.
     let mut rs_touched: RangeList = RangeList::default();
     let mut rs_touched_spill: FastSet<CacheLineId> = FastSet::default();
@@ -1008,41 +969,15 @@ fn precompute_worker(
             reads += 1;
         }
 
-        if !(cur_start <= line.0 && line.0 < cur_end) {
-            let previous = (cur_start, cur_end, cur_class);
-            let found = if other.0 <= line.0 && line.0 < other.1 {
-                Some(other)
-            } else {
-                table.find(line).map(|idx| {
-                    let extent = extents[idx];
-                    (extent.start, extent.end, extent.class)
-                })
-            };
-            if !cur_violation {
-                other = previous;
-            }
-            cur_violation = found.is_none();
-            match found {
-                Some(extent) => (cur_start, cur_end, cur_class) = extent,
-                None => {
-                    // Contract violation: the line lies outside every
-                    // declared footprint, so some stream's
-                    // Footprint::Bounded under-approximated its accesses.
-                    // Treat the line as write-shared — the fully-ordered
-                    // directory path, correct for any sharing pattern —
-                    // and count it so the lint can surface the workload
-                    // bug instead of the run dying here.
-                    (cur_start, cur_end, cur_class) = (line.0, line.0 + 1, ExtClass::WriteShared);
-                    violations += 1;
-                }
-            }
-        }
-        // Per-access contract checks the extent cache cannot express: a
-        // line classified private to a *different* worker, or a write to a
-        // line every footprint declared read-only. Both mean some footprint
-        // under-declared this worker's traffic; demote the access to the
-        // write-shared path and count the violation.
-        let class = match cur_class {
+        // A line outside every declared footprint resolves write-shared —
+        // the fully-ordered directory path — and the cursor counts the
+        // miss, so the lint can surface the workload bug instead of the
+        // run dying here. Two contract checks the extent cache cannot
+        // express: a line classified private to a *different* worker, or a
+        // write to a line every footprint declared read-only. Both mean
+        // some footprint under-declared this worker's traffic; demote the
+        // access to the write-shared path and count the violation.
+        let class = match cursor.class(table, line) {
             ExtClass::Private(owner) if owner != me => {
                 violations += 1;
                 ExtClass::WriteShared
@@ -1158,7 +1093,7 @@ fn precompute_worker(
         sim,
         rs_first_touches,
         last_line: final_line,
-        violations,
+        violations: violations + cursor.misses,
         folded,
     }
 }

@@ -1,10 +1,11 @@
 //! The footprint contract's two enforcement layers:
 //!
 //! * the **sharded executor's violation fallback** — an access outside
-//!   every classified extent (or violating its extent's class) no longer
-//!   panics: it is demoted to the fully-ordered write-shared path and
+//!   every classified extent (or violating its extent's class) does not
+//!   panic: it is demoted to the fully-ordered write-shared path and
 //!   counted in `sim.footprint_violations`, keeping the run deterministic
-//!   and complete;
+//!   and complete (the classic loop trusts footprints the same way, but
+//!   counts nothing);
 //! * the **audit mode** (`MachineConfig::with_footprint_audit`) — a
 //!   byte-granular check of every executed access against the declared
 //!   extents, counting into the same metric (and aborting in debug
@@ -104,11 +105,28 @@ fn every_return_to_an_undeclared_line_is_counted() {
 
 #[test]
 fn classic_loop_ignores_footprints_without_audit() {
-    // The single-threaded loop never consults footprints; without audit
-    // mode the same lying program runs violation-free.
+    // The single-threaded loop reads footprints only to let workers run
+    // ahead and never checks accesses against them; without audit mode
+    // the same lying program runs violation-free.
     let obs = ObsHandle::fresh_untraced();
     let machine = Machine::new(MachineConfig::default().with_obs(obs.clone()));
     machine.run(liar_program(), &mut NullObserver);
+    assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 0);
+}
+
+#[test]
+fn classic_loop_trusts_footprints_deterministically() {
+    // The classic loop trusts declared footprints as the sharded executor
+    // does. The liar's own accesses stay ordered: a line outside its
+    // footprint is never private to it. The honest worker runs ahead
+    // through the line its footprint owns alone, although the liar writes
+    // it too — no longer strict time order, but still deterministic.
+    let obs = ObsHandle::fresh_untraced();
+    let machine = Machine::new(MachineConfig::default().with_obs(obs.clone()));
+    let first = machine.run(liar_program(), &mut NullObserver);
+    let second = machine.run(liar_program(), &mut NullObserver);
+    assert_eq!(first.total_accesses(), 11, "the run must complete");
+    assert_eq!(first, second);
     assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 0);
 }
 
