@@ -160,13 +160,6 @@ impl StaticSummary {
         self.ranges.iter().filter(|r| r.class.is_candidate())
     }
 
-    /// The statically-private line ranges, sorted.
-    pub fn private_ranges(&self) -> impl Iterator<Item = &ClassifiedRange> {
-        self.ranges
-            .iter()
-            .filter(|r| r.class == LineClass::StaticallyPrivate)
-    }
-
     /// Total touched lines per class, in
     /// `(private, read_shared, true_candidate, false_candidate)` order.
     pub fn class_totals(&self) -> (u64, u64, u64, u64) {

@@ -98,12 +98,12 @@ fn soundness_holds_on_post_repair_layouts() {
         // Re-analyze: the repaired program's footprints come back already
         // translated through the layout map.
         let (program, mut space) = app.build(&config).into_parts();
-        let (repaired, _map) =
+        let repaired =
             repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
         let summary = summarize(&repaired, 64);
         // Re-profile an identically repaired third build.
         let (program, mut space) = app.build(&config).into_parts();
-        let (repaired, _map) =
+        let repaired =
             repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
         let profile = profile_of(repaired, &space);
         let violations = soundness_violations(&summary, &profile);

@@ -89,12 +89,12 @@ proptest! {
             .find_map(|assessed| synthesize(&assessed.instance, 64));
         if let Some(plan) = plan {
             let (program, mut space) = app.build(&config).into_parts();
-            let (repaired, _map) =
+            let repaired =
                 repair_program(program, std::slice::from_ref(&plan), &mut space)
                     .expect("repair");
             let summary = summarize(&repaired, 64);
             let (program, mut space) = app.build(&config).into_parts();
-            let (repaired, _map) =
+            let repaired =
                 repair_program(program, std::slice::from_ref(&plan), &mut space)
                     .expect("repair");
             let profile = profile_under(repaired, &space, policy);
@@ -128,11 +128,11 @@ fn hidden_instance_is_statically_anticipated() {
         .find_map(|assessed| synthesize(&assessed.instance, 64))
         .expect("the perturbed profile must yield a repairable instance");
     let (program, mut space) = app.build(&config).into_parts();
-    let (repaired, _map) =
+    let repaired =
         repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
     let summary = summarize(&repaired, 64);
     let (program, mut space) = app.build(&config).into_parts();
-    let (repaired, _map) =
+    let repaired =
         repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
     let profile = profile_under(repaired, &space, policy);
     let violations = soundness_violations(&summary, &profile);

@@ -12,7 +12,7 @@
 
 use cheetah_heap::ShadowMap;
 use cheetah_pmu::Sample;
-use cheetah_sim::{CacheLineId, ThreadId};
+use cheetah_sim::ThreadId;
 
 /// Per-line ownership bitmap (one bit per thread id).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -44,11 +44,6 @@ impl OwnershipState {
 
     fn any_owner(&self) -> bool {
         self.owners.iter().any(|&w| w != 0)
-    }
-
-    /// Heap bytes used by this line's bitmap.
-    pub fn bitmap_bytes(&self) -> usize {
-        self.owners.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -118,11 +113,6 @@ impl OwnershipDetector {
         } else {
             state.owners[word] |= bit;
         }
-    }
-
-    /// Invalidations counted on one line.
-    pub fn line_invalidations(&self, line: CacheLineId) -> u64 {
-        self.shadow.get(line).map_or(0, |s| s.invalidations)
     }
 
     /// Total invalidations counted.

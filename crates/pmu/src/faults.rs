@@ -332,11 +332,6 @@ impl FaultInjector {
         &self.counts
     }
 
-    /// Input samples seen so far (pre-fault).
-    pub fn samples_seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Feeds one arriving sample through the plan, delivering zero or more
     /// samples to `deliver` (zero when dropped or parked in the reorder
     /// buffer, two when duplicated).

@@ -1,41 +1,49 @@
 //! Fixpoint repair: profile, fix the top-ranked instance, re-profile the
-//! repaired program, repeat.
+//! repaired program, repeat — judged over a set of schedules.
 //!
 //! [`ValidationHarness::validate`] measures each synthesized fix against
 //! the *original* profile — one shot. A programmer using a false-sharing
 //! tool works differently (the LASER / Predator workflow): fix the worst
 //! instance, re-run the profiler on the patched binary, and keep going
-//! until the report comes back clean. [`converge`] automates that loop on
-//! the simulator:
+//! until the report comes back clean. [`converge_worst_case`] automates
+//! that loop on the simulator over a set of schedules (see
+//! [`schedule_set`]):
 //!
 //! 1. profile the current build (original layout plus every fix applied so
-//!    far) with the Cheetah profiler;
-//! 2. collect the *significant* false-sharing instances — predicted
+//!    far) once per schedule with the Cheetah profiler;
+//! 2. unite the *significant* false-sharing instances — predicted
 //!    improvement at least [`ConvergeConfig::min_predicted_improvement`] —
-//!    and rank their synthesized plans ([`crate::plan::rank`]);
+//!    across the schedules ([`union_findings`]) and rank their synthesized
+//!    plans ([`crate::plan::rank`]) by **worst-case payoff**: the highest
+//!    improvement any schedule predicts for the instance;
 //! 3. if none remain, the loop has converged; otherwise apply the
 //!    top-ranked plan, measure the repaired runtime, record the iteration,
 //!    and go back to 1 — unless [`ConvergeConfig::max_iterations`] is hit.
 //!
-//! The returned [`ConvergenceTrace`] carries one [`IterationRecord`] per
-//! applied fix: which instance was fixed, the predicted vs. measured
-//! improvement of that single step, and how many significant instances
-//! remained afterwards. Everything downstream of a deterministic workload
-//! builder is deterministic, so traces are bit-identical across runs — a
-//! property the test suite asserts.
+//! The loop converges only when **no** explored schedule reports a
+//! significant instance — schedule-hidden ones (the `staggered_writers`
+//! registry app) included. [`converge`] is the loop over the machine's own
+//! schedule alone.
 //!
-//! On a sharded machine the first profile also captures a
+//! The returned [`ConvergenceTrace`] carries one [`IterationRecord`] per
+//! applied fix: which instance was fixed and under which schedule it bit
+//! hardest, the predicted vs. measured improvement of that single step
+//! (measured under the first schedule), and how many significant instances
+//! remained afterwards. Traces are bit-identical across runs of a
+//! deterministic workload builder — a property the test suite asserts.
+//!
+//! On a sharded machine each schedule's first profile also captures a
 //! [`Checkpoint`] after the leading phases no parallel phase writes into
-//! (an input-reading serial phase, typically). Each re-profile whose fixes
-//! all leave that prefix in place resumes from the checkpoint instead of
-//! re-simulating it; the profile is bit-identical either way (see
-//! [`cheetah_sim::checkpoint`]).
+//! (an input-reading serial phase, typically). Each later profile under
+//! that schedule whose fixes all leave the prefix in place resumes from
+//! the schedule's checkpoint instead of re-simulating it; the profile is
+//! bit-identical either way (see [`cheetah_sim::checkpoint`]).
 
 use crate::plan::{rank, synthesize, RepairPlan, RepairStrategy};
 use crate::rewrite::{apply, RepairError};
 use crate::validate::ValidationHarness;
-use cheetah_core::{CheetahConfig, CheetahProfiler, Profile};
-use cheetah_sim::{Checkpoint, Cycles, Machine};
+use cheetah_core::{union_findings, CheetahConfig, CheetahProfiler, Profile};
+use cheetah_sim::{Checkpoint, Cycles, Machine, SchedulePolicy};
 use cheetah_workloads::WorkloadInstance;
 use std::fmt;
 
@@ -77,6 +85,19 @@ impl ConvergeConfig {
     }
 }
 
+/// The standard exploration set: the observed schedule plus, per seed,
+/// one uniformly shuffled and one contention-maximizing perturbation.
+pub fn schedule_set(seeds: &[u64]) -> Vec<SchedulePolicy> {
+    std::iter::once(SchedulePolicy::Observed)
+        .chain(seeds.iter().flat_map(|&seed| {
+            [
+                SchedulePolicy::SeededShuffle { seed },
+                SchedulePolicy::ContentionMax { seed },
+            ]
+        }))
+        .collect()
+}
+
 /// One applied fix of the loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationRecord {
@@ -91,19 +112,30 @@ pub struct IterationRecord {
     /// value is the joint line payoff under the default line-level
     /// assessment).
     pub co_residents: usize,
-    /// Cheetah's predicted improvement for fixing this instance, taken
-    /// from the profile of the build this iteration started from.
+    /// The schedule under which the instance's payoff peaked — the
+    /// evidence the plan was synthesized from.
+    pub worst_schedule: SchedulePolicy,
+    /// Whether the observed schedule missed the instance entirely — the
+    /// predictive case a single-run profiler cannot deliver.
+    pub hidden: bool,
+    /// Schedules that reported the instance as significant in the
+    /// profiles that chose this fix.
+    pub sightings: usize,
+    /// Cheetah's predicted improvement for fixing this instance — the
+    /// worst case over the schedules — taken from the profiles of the
+    /// build this iteration started from.
     pub predicted: f64,
     /// Measured improvement of this single step: runtime before this fix
-    /// over runtime after it (both unprofiled).
+    /// over runtime after it (both unprofiled, under the first schedule).
     pub measured: f64,
     /// Unprofiled runtime entering the iteration.
     pub cycles_before: Cycles,
     /// Unprofiled runtime after applying the fix.
     pub cycles_after: Cycles,
-    /// Significant instances seen by the profile that chose this fix.
+    /// Significant instances (united over the schedules) seen by the
+    /// profiles that chose this fix.
     pub significant_before: usize,
-    /// Significant instances remaining in the *next* profile (0 on the
+    /// Significant instances remaining in the *next* profiles (0 on the
     /// iteration that converged the loop).
     pub significant_after: usize,
 }
@@ -118,23 +150,36 @@ impl IterationRecord {
     }
 }
 
-/// The complete per-iteration trace of one [`converge`] run.
+/// The complete per-iteration trace of one [`converge_worst_case`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTrace {
     /// Workload name.
     pub workload: String,
+    /// The explored schedule set, in exploration order; runtimes are
+    /// measured under the first.
+    pub schedules: Vec<SchedulePolicy>,
     /// Unprofiled runtime of the unrepaired build.
     pub initial_cycles: Cycles,
     /// Samples the initial profile collected (diagnostic).
     pub initial_samples: u64,
+    /// Significant findings (united over the schedules) in the initial
+    /// profiles.
+    pub initial_findings: usize,
+    /// Schedule-hidden findings in the initial profiles: significant under
+    /// some perturbed schedule, invisible to the observed one.
+    pub initial_hidden: usize,
     /// Unprofiled runtime after every applied fix.
     pub final_cycles: Cycles,
     /// Applied fixes, in order.
     pub iterations: Vec<IterationRecord>,
-    /// Significant instances still present when the loop stopped.
+    /// Significant instances (united over the schedules) still present
+    /// when the loop stopped.
     pub residual_significant: usize,
-    /// Whether the loop stopped because no significant instance remained
-    /// (as opposed to hitting `max_iterations`).
+    /// Significant instances each schedule still reports when the loop
+    /// stopped, in `schedules` order.
+    pub residual_per_schedule: Vec<usize>,
+    /// Whether the loop stopped because no schedule reported a significant
+    /// instance (as opposed to hitting `max_iterations`).
     pub converged: bool,
 }
 
@@ -155,25 +200,41 @@ impl ConvergenceTrace {
             .fold(0.0, f64::max)
     }
 
-    /// Renders the trace as a small table.
+    /// Total significant residue across the schedule set.
+    pub fn total_residual(&self) -> usize {
+        self.residual_per_schedule.iter().sum()
+    }
+
+    /// Renders the trace as a small table; the schedule columns appear
+    /// only when more than one schedule was explored.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
+        let explored = self.schedules.len() > 1;
         let mut out = String::new();
+        let _ = write!(out, "{}: ", self.workload);
+        if explored {
+            let _ = write!(
+                out,
+                "{} schedule(s), {} finding(s) initially ({} hidden), ",
+                self.schedules.len(),
+                self.initial_findings,
+                self.initial_hidden
+            );
+        }
         let _ = writeln!(
             out,
-            "{}: {} iteration(s), {:.2}x total, {} residual ({})",
-            self.workload,
+            "{} iteration(s), {:.2}x total, {} residual ({})",
             self.iterations.len(),
             self.total_improvement(),
             self.residual_significant,
-            if self.converged {
-                "converged"
-            } else {
-                "bound hit"
+            match (self.converged, explored) {
+                (true, true) => "converged on every schedule",
+                (true, false) => "converged",
+                (false, _) => "bound hit",
             }
         );
         for it in &self.iterations {
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "  #{} {} [{}{}] predicted {:.2}x measured {:.2}x ({} -> {} cycles, {} left)",
                 it.iteration,
@@ -190,6 +251,21 @@ impl ConvergenceTrace {
                 it.cycles_after,
                 it.significant_after
             );
+            if explored {
+                let _ = write!(
+                    out,
+                    ", worst case under {}{} ({} of {} schedules)",
+                    it.worst_schedule,
+                    if it.hidden {
+                        ", hidden from observed"
+                    } else {
+                        ""
+                    },
+                    it.sightings,
+                    self.schedules.len()
+                );
+            }
+            out.push('\n');
         }
         out
     }
@@ -201,12 +277,12 @@ impl fmt::Display for ConvergenceTrace {
     }
 }
 
-/// Runs the fixpoint repair loop for one workload.
+/// Runs the fixpoint repair loop for one workload on the harness machine's
+/// own schedule: [`converge_worst_case`] over that one schedule.
 ///
 /// `build` must produce identically laid-out instances on every call (true
 /// for all registry workloads under a fixed
-/// [`cheetah_workloads::AppConfig`]); the loop calls it once per profile
-/// and once per measurement run.
+/// [`cheetah_workloads::AppConfig`]); the loop calls it once per profile.
 ///
 /// ```
 /// use cheetah_core::CheetahConfig;
@@ -245,12 +321,38 @@ pub fn converge<F>(
 where
     F: Fn() -> WorkloadInstance,
 {
-    let machine = harness.machine();
-    let line_size = machine.config().cache_line_size;
+    let schedule = harness.machine().config().schedule;
+    converge_worst_case(harness, workload, build, config, &[schedule])
+}
+
+/// Runs the fixpoint repair loop for one workload over a schedule set (see
+/// [`schedule_set`] and the [module docs](self)).
+///
+/// `build` must produce identically laid-out instances on every call; the
+/// loop calls it once per profile, and profiles each build once per
+/// schedule.
+///
+/// # Errors
+///
+/// [`RepairError`] if a synthesized plan cannot be applied.
+pub fn converge_worst_case<F>(
+    harness: &ValidationHarness,
+    workload: &str,
+    build: F,
+    config: &ConvergeConfig,
+    schedules: &[SchedulePolicy],
+) -> Result<ConvergenceTrace, RepairError>
+where
+    F: Fn() -> WorkloadInstance,
+{
+    assert!(!schedules.is_empty(), "explore at least one schedule");
+    let base = harness.machine().config();
+    let line_size = base.cache_line_size;
+    let min = config.min_predicted_improvement;
     // Iteration spans land in the same registry the simulator's phase and
     // merge spans report into, so one `--trace` export shows the whole
     // profile -> fix -> re-profile cadence on its own lane.
-    let obs = machine.config().obs.clone();
+    let obs = base.obs.clone();
     if obs.tracing_enabled() {
         obs.name_lane(OBS_LANE_CONVERGE, "converge");
     }
@@ -262,108 +364,139 @@ where
     // improvements share one baseline.
     let cheetah = harness.non_perturbing_config();
 
-    let (mut profile, checkpoint) = {
-        let (program, space) = build().into_parts();
-        let mut profiler = CheetahProfiler::new(cheetah.clone(), &space);
-        let (_, checkpoint) = machine.run_capturing(program, &mut profiler);
-        (profiler.finish(), checkpoint)
+    // One machine per schedule, sharing the harness's configuration (and
+    // observability registry) in everything but the policy, with the
+    // checkpoint its first profile captures.
+    let mut machines: Vec<(Machine, Option<Checkpoint>)> = schedules
+        .iter()
+        .map(|&policy| (Machine::new(base.clone().with_schedule(policy)), None))
+        .collect();
+    // Profiles the build with `plans` applied under every schedule; also
+    // returns the phases the resumed runs skipped.
+    let mut explore = |plans: &[RepairPlan]| {
+        let mut runs = Vec::with_capacity(schedules.len());
+        let mut resumed_phases = 0;
+        for (&policy, (machine, checkpoint)) in schedules.iter().zip(&mut machines) {
+            let mut span = obs.span("explore.schedule", OBS_LANE_CONVERGE);
+            span.attr_str("schedule", policy.to_string());
+            let (profile, resumed) = reprofile(machine, &cheetah, &build, plans, checkpoint)?;
+            span.attr_u64("resumed_phases", u64::from(resumed));
+            span.attr_u64(
+                "significant",
+                profile.significant_false_sharing(min).len() as u64,
+            );
+            span.finish();
+            resumed_phases += resumed;
+            runs.push((policy, profile));
+        }
+        Ok::<_, RepairError>((runs, resumed_phases))
     };
+
     let mut plans: Vec<RepairPlan> = Vec::new();
-    let initial_cycles = profile.total_cycles;
-    let initial_samples = profile.total_samples;
+    let (mut runs, _) = explore(&plans)?;
+    let (initial_cycles, initial_samples) = (runs[0].1.total_cycles, runs[0].1.total_samples);
+    let mut findings = union_findings(&runs, min);
+    let initial_findings = findings.len();
+    let initial_hidden = findings.iter().filter(|f| f.is_hidden()).count();
     let mut iterations: Vec<IterationRecord> = Vec::new();
-    let (residual_significant, converged) = loop {
-        // Significant instances, with synthesized plans, ranked best-first.
-        let significant: Vec<_> = profile
-            .significant_false_sharing(config.min_predicted_improvement)
-            .into_iter()
-            .collect();
-        let mut candidates: Vec<(RepairPlan, f64)> = significant
+    let converged = loop {
+        // Synthesized plans, ranked best-first by worst-case payoff.
+        let mut candidates: Vec<(RepairPlan, f64)> = findings
             .iter()
-            .filter_map(|assessed| {
-                synthesize(&assessed.instance, line_size).map(|plan| (plan, assessed.improvement()))
+            .filter_map(|finding| {
+                synthesize(&finding.worst_instance, line_size)
+                    .map(|plan| (plan, finding.worst_improvement()))
             })
             .collect();
         rank(&mut candidates);
 
-        if let Some(last) = iterations.last_mut() {
-            last.significant_after = significant.len();
-        }
         if candidates.is_empty() {
             // Converged if nothing significant remains; significant
             // instances no plan can fix (pure word evidence missing) also
             // end the loop, but count as residue.
-            break (significant.len(), significant.is_empty());
+            break findings.is_empty();
         }
         if iterations.len() as u32 >= config.max_iterations {
-            break (significant.len(), false);
+            break false;
         }
 
         let (plan, predicted) = candidates.swap_remove(0);
-        let label = plan.label.clone();
-        let strategy = plan.strategy;
-        let co_residents = plan.co_residents;
-        let cycles_before = profile.total_cycles;
+        let chosen = findings
+            .iter()
+            .find(|f| f.key == plan.key)
+            .expect("the plan came from a finding");
+        let cycles_before = runs[0].1.total_cycles;
+        let mut record = IterationRecord {
+            iteration: iterations.len() as u32 + 1,
+            label: plan.label.clone(),
+            strategy: plan.strategy,
+            co_residents: plan.co_residents,
+            worst_schedule: chosen.worst_schedule(),
+            hidden: chosen.is_hidden(),
+            sightings: chosen.sightings.len(),
+            predicted,
+            measured: 1.0,
+            cycles_before,
+            cycles_after: cycles_before,
+            significant_before: findings.len(),
+            significant_after: 0,
+        };
         plans.push(plan);
         let mut span = obs.span("converge.iteration", OBS_LANE_CONVERGE);
-        span.attr_u64("iteration", iterations.len() as u64 + 1);
-        span.attr_str("label", label.clone());
+        span.attr_u64("iteration", u64::from(record.iteration));
+        span.attr_str("label", record.label.clone());
         span.attr_f64("predicted", predicted);
-        let (next, resumed_phases) =
-            reprofile(machine, &cheetah, &build, &plans, checkpoint.as_ref())?;
+        let (next, resumed_phases) = explore(&plans)?;
+        runs = next;
         span.attr_u64("resumed_phases", u64::from(resumed_phases));
-        let cycles_after = next.total_cycles;
-        let measured = if cycles_after == 0 {
-            1.0
-        } else {
-            cycles_before as f64 / cycles_after as f64
-        };
-        span.attr_f64("measured", measured);
+        record.cycles_after = runs[0].1.total_cycles;
+        if record.cycles_after != 0 {
+            record.measured = cycles_before as f64 / record.cycles_after as f64;
+        }
+        span.attr_f64("measured", record.measured);
         span.attr_u64("cycles_before", cycles_before);
-        span.attr_u64("cycles_after", cycles_after);
+        span.attr_u64("cycles_after", record.cycles_after);
         span.finish();
-        iterations.push(IterationRecord {
-            iteration: iterations.len() as u32 + 1,
-            label,
-            strategy,
-            co_residents,
-            predicted,
-            measured,
-            cycles_before,
-            cycles_after,
-            significant_before: significant.len(),
-            significant_after: 0,
-        });
-        profile = next;
+        findings = union_findings(&runs, min);
+        record.significant_after = findings.len();
+        iterations.push(record);
     };
 
     Ok(ConvergenceTrace {
         workload: workload.to_string(),
+        schedules: schedules.to_vec(),
         initial_cycles,
         initial_samples,
-        final_cycles: profile.total_cycles,
+        initial_findings,
+        initial_hidden,
+        final_cycles: runs[0].1.total_cycles,
         iterations,
-        residual_significant,
+        residual_significant: findings.len(),
+        residual_per_schedule: runs
+            .iter()
+            .map(|(_, profile)| profile.significant_false_sharing(min).len())
+            .collect(),
         converged,
     })
 }
 
-/// Profiles the build with `plans` applied. The run resumes from
-/// `checkpoint` when every plan's layout map leaves the checkpoint's prefix
-/// in place; otherwise, or when the resume is refused, it runs from phase 0
+/// Profiles the build with `plans` applied on `machine`. The first profile
+/// (no plans, no checkpoint yet) captures `checkpoint`; a later one resumes
+/// from it when every plan's layout map leaves the checkpoint's prefix in
+/// place; otherwise, or when the resume is refused, it runs from phase 0
 /// with a fresh profiler. Returns the profile and the phases skipped.
 fn reprofile<F>(
     machine: &Machine,
     cheetah: &CheetahConfig,
     build: &F,
     plans: &[RepairPlan],
-    checkpoint: Option<&Checkpoint>,
+    checkpoint: &mut Option<Checkpoint>,
 ) -> Result<(Profile, u32), RepairError>
 where
     F: Fn() -> WorkloadInstance,
 {
     let (mut program, mut space) = build().into_parts();
-    let mut admitted = checkpoint;
+    let mut admitted = checkpoint.as_ref();
     for plan in plans {
         let map = apply(plan, &mut space)?;
         admitted = admitted.filter(|checkpoint| checkpoint.admits(&map));
@@ -374,8 +507,13 @@ where
         Some(checkpoint) => match machine.resume(checkpoint, program, &mut profiler) {
             Ok(_) => Ok((profiler.finish(), checkpoint.phases())),
             // The profiler may have seen part of the refused replay.
-            Err(_) => reprofile(machine, cheetah, build, plans, None),
+            Err(_) => reprofile(machine, cheetah, build, plans, &mut None),
         },
+        None if plans.is_empty() => {
+            let (_, captured) = machine.run_capturing(program, &mut profiler);
+            *checkpoint = captured;
+            Ok((profiler.finish(), 0))
+        }
         None => {
             machine.run(program, &mut profiler);
             Ok((profiler.finish(), 0))
@@ -453,24 +591,23 @@ mod tests {
         let mut quiet = perturbing.clone();
         quiet.sampler.trap_cost = 0;
         quiet.sampler.setup_cost = 0;
-        let capture = |cheetah: &CheetahConfig| {
-            let (program, space) = build().into_parts();
-            let mut profiler = CheetahProfiler::new(cheetah.clone(), &space);
-            let (_, checkpoint) = machine.run_capturing(program, &mut profiler);
-            checkpoint.expect("streamcluster's input phase is a prefix")
-        };
-        let (fresh, skipped) = reprofile(&machine, &quiet, &build, &[], None).unwrap();
+        // A first profile captures a checkpoint after the input phase.
+        let mut own = None;
+        let (fresh, skipped) = reprofile(&machine, &quiet, &build, &[], &mut own).unwrap();
         assert_eq!(skipped, 0);
+        let mut foreign = None;
+        reprofile(&machine, &perturbing, &build, &[], &mut foreign).unwrap();
+        assert!(
+            own.is_some() && foreign.is_some(),
+            "the input phase is a prefix"
+        );
 
         // A profiler charging setup costs answers the replayed main-thread
         // start differently: the resume is refused and the profile starts
         // over with a fresh profiler.
-        let foreign = capture(&perturbing);
-        let (fallback, skipped) = reprofile(&machine, &quiet, &build, &[], Some(&foreign)).unwrap();
+        let (fallback, skipped) = reprofile(&machine, &quiet, &build, &[], &mut foreign).unwrap();
         // An identically configured profiler resumes after the input phase.
-        let own = capture(&quiet);
-        let (resumed, resumed_phases) =
-            reprofile(&machine, &quiet, &build, &[], Some(&own)).unwrap();
+        let (resumed, resumed_phases) = reprofile(&machine, &quiet, &build, &[], &mut own).unwrap();
         assert_eq!((skipped, resumed_phases), (0, 1));
         for profile in [&fallback, &resumed] {
             assert_eq!(profile.total_cycles, fresh.total_cycles);

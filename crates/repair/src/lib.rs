@@ -21,17 +21,18 @@
 //!    and repaired builds on the same deterministic machine and emits a
 //!    per-instance *predicted vs. actual* table (the paper's Table 2
 //!    shape) through [`cheetah_core::format_prediction_table`].
-//! 4. **Convergence** ([`converge()`]): the fixpoint loop a programmer would
-//!    run by hand — profile, apply the top-ranked fix, re-profile the
-//!    repaired program, repeat until no significant instance remains (or a
-//!    bound is hit) — returning a per-iteration trace of predicted vs.
-//!    measured improvement and residual instances.
-//! 5. **Worst-case exploration** ([`worst_case`]): the same loop judged
-//!    over a *set* of perturbed schedules
-//!    ([`cheetah_sim::SchedulePolicy`]): findings are united across
-//!    interleavings, plans are ranked by worst-case payoff, and
+//! 4. **Convergence** ([`converge`](mod@converge)): the fixpoint loop a
+//!    programmer would run by hand — profile, apply the top-ranked fix,
+//!    re-profile the repaired program, repeat until no significant
+//!    instance remains (or a bound is hit) — returning a per-iteration
+//!    trace of predicted vs. measured improvement and residual instances.
+//!    [`converge_worst_case`] judges the loop over a *set* of schedules
+//!    ([`schedule_set`]: the observed one plus seeded
+//!    [`cheetah_sim::SchedulePolicy`] perturbations): findings are united
+//!    across interleavings, plans are ranked by worst-case payoff, and
 //!    convergence requires every explored schedule to come back clean —
-//!    catching instances the observed schedule hides.
+//!    catching instances the observed schedule hides. [`converge()`] is
+//!    that loop over the machine's own schedule.
 //!
 //! ## Example: validating the Fig. 1 microbenchmark
 //!
@@ -63,10 +64,10 @@ pub mod converge;
 pub mod plan;
 pub mod rewrite;
 pub mod validate;
-pub mod worst_case;
 
-pub use converge::{converge, ConvergeConfig, ConvergenceTrace, IterationRecord};
+pub use converge::{
+    converge, converge_worst_case, schedule_set, ConvergeConfig, ConvergenceTrace, IterationRecord,
+};
 pub use plan::{rank, synthesize, RepairPlan, RepairStrategy, ThreadCluster};
 pub use rewrite::{apply, apply_iterations, repair_program, RepairError};
 pub use validate::{InstanceValidation, ValidationHarness, ValidationOutcome};
-pub use worst_case::{converge_worst_case, schedule_set, WorstCaseIteration, WorstCaseTrace};

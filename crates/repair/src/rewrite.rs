@@ -21,7 +21,6 @@ use cheetah_sim::layout::{LayoutError, LayoutMap, Remapping};
 use cheetah_sim::{Addr, Program, ThreadId, WORD_BYTES};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from applying a repair plan.
 #[derive(Debug)]
@@ -140,8 +139,7 @@ pub fn apply(plan: &RepairPlan, space: &mut AddressSpace) -> Result<LayoutMap, R
 }
 
 /// Applies several plans to one space and rewrites `program` through the
-/// merged transformation. Returns the repaired program and the map (for
-/// inspection or reuse on identically built programs).
+/// merged transformation.
 ///
 /// # Errors
 ///
@@ -150,14 +148,13 @@ pub fn repair_program(
     program: Program,
     plans: &[RepairPlan],
     space: &mut AddressSpace,
-) -> Result<(Program, Arc<LayoutMap>), RepairError> {
+) -> Result<Program, RepairError> {
     let mut merged = LayoutMap::identity();
     for plan in plans {
         let map = apply(plan, space)?;
         merged = merged.merge(&map)?;
     }
-    let shared = merged.shared();
-    Ok((program.with_layout(Arc::clone(&shared)), shared))
+    Ok(program.with_layout(merged.shared()))
 }
 
 /// Applies plans from *successive repair iterations* to one space,

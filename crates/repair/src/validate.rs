@@ -134,11 +134,6 @@ impl ValidationHarness {
         &self.machine
     }
 
-    /// The profiler configuration runs use.
-    pub fn cheetah_config(&self) -> &CheetahConfig {
-        &self.config
-    }
-
     /// The harness configuration with sampling perturbation zeroed (no
     /// trap or setup cost). Prediction runs use this so their baseline is
     /// the same runtime measured improvements are taken against: at the
@@ -199,7 +194,7 @@ impl ValidationHarness {
             let fresh = build();
             let (program, space) = fresh.into_parts();
             let mut space = space;
-            let (repaired, _) = repair_program(program, std::slice::from_ref(plan), &mut space)?;
+            let repaired = repair_program(program, std::slice::from_ref(plan), &mut space)?;
             let repaired_cycles = self.machine.run(repaired, &mut NullObserver).total_cycles;
             let actual = if repaired_cycles == 0 {
                 1.0
@@ -225,7 +220,7 @@ impl ValidationHarness {
             let (program, space) = fresh.into_parts();
             let mut space = space;
             let plans: Vec<RepairPlan> = planned.iter().map(|(p, _)| p.clone()).collect();
-            let (repaired, _) = repair_program(program, &plans, &mut space)?;
+            let repaired = repair_program(program, &plans, &mut space)?;
             self.machine.run(repaired, &mut NullObserver).total_cycles
         };
 

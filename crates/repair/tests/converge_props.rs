@@ -11,10 +11,11 @@
 
 use cheetah_core::{AssessModel, CheetahConfig};
 use cheetah_repair::{
-    converge, ConvergeConfig, ConvergenceTrace, RepairStrategy, ValidationHarness,
+    converge, converge_worst_case, schedule_set, ConvergeConfig, ConvergenceTrace, RepairStrategy,
+    ValidationHarness,
 };
 use cheetah_sim::metrics::RESUMED_PHASES;
-use cheetah_sim::{Machine, MachineConfig, ObsHandle};
+use cheetah_sim::{Machine, MachineConfig, ObsHandle, SchedulePolicy};
 use cheetah_workloads::{find, AppConfig};
 use proptest::prelude::*;
 
@@ -214,9 +215,12 @@ fn iteration_records_chain() {
 /// whether the machine interleaves threads classically (`shards = 1`) or
 /// merges sharded event streams (`shards = 4`). Sharded re-profiles resume
 /// from the first profile's checkpoint where the fixes leave its prefix in
-/// place — streamcluster's input phase — and the `sim.resumed_phases`
-/// counter proves the resumed path actually ran; inter_object writes its
-/// repaired objects in phase 0, so it has no prefix to skip.
+/// place — streamcluster's and linear_regression's input phase — and the
+/// `sim.resumed_phases` counter proves the resumed path actually ran;
+/// inter_object writes its repaired objects in phase 0, so it has no prefix
+/// to skip. Worst-case exploration resumes every schedule's re-profiles
+/// from that schedule's own checkpoint, perturbed schedules included, to
+/// the same trace.
 #[test]
 fn converge_identical_under_sharded_execution() {
     let cases = [
@@ -232,30 +236,48 @@ fn converge_identical_under_sharded_execution() {
             fixed: false,
             seed: 1,
         };
-        let trace_at = |shards: u32| {
+        let trace_at = |shards: u32, schedules: Option<&[SchedulePolicy]>| {
             let obs = ObsHandle::fresh_untraced();
             let machine = MachineConfig::with_cores(16)
                 .with_shards(shards)
                 .with_obs(obs.clone());
             let harness =
                 ValidationHarness::calibrated(Machine::new(machine), CheetahConfig::scaled(period));
-            let trace = converge(&harness, name, || app.build(&config), &converge_config)
-                .expect("plans apply");
+            let build = || app.build(&config);
+            let trace = match schedules {
+                None => converge(&harness, name, build, &converge_config),
+                Some(schedules) => {
+                    converge_worst_case(&harness, name, build, &converge_config, schedules)
+                }
+            }
+            .expect("plans apply");
             (trace, obs.counter(RESUMED_PHASES).get())
         };
-        let (classic, classic_resumed) = trace_at(1);
-        let (sharded, sharded_resumed) = trace_at(4);
+        let (classic, classic_resumed) = trace_at(1, None);
+        let (sharded, sharded_resumed) = trace_at(4, None);
         assert!(!sharded.iterations.is_empty(), "{name} needs a re-profile");
-        assert_eq!(classic.iterations, sharded.iterations, "{name}");
-        assert_eq!(classic.initial_cycles, sharded.initial_cycles, "{name}");
-        assert_eq!(classic.final_cycles, sharded.final_cycles, "{name}");
-        assert_eq!(classic.initial_samples, sharded.initial_samples, "{name}");
-        assert_eq!(classic.converged, sharded.converged, "{name}");
+        assert_eq!(classic, sharded, "{name}");
         assert_eq!(classic_resumed, 0, "the classic loop never captures");
         match name {
-            "streamcluster" => assert!(sharded_resumed >= 1, "{name} skipped no phase"),
-            "inter_object" => assert_eq!(sharded_resumed, 0, "{name} has no prefix"),
-            _ => {}
+            "streamcluster" | "linear_regression" => {
+                assert!(sharded_resumed >= 1, "{name} skipped no phase")
+            }
+            _ => assert_eq!(sharded_resumed, 0, "{name} has no prefix"),
         }
+        if name == "inter_object" {
+            continue;
+        }
+        let schedules = schedule_set(&[1, 2]);
+        let (classic, classic_resumed) = trace_at(1, Some(&schedules));
+        let (sharded, sharded_resumed) = trace_at(4, Some(&schedules));
+        assert!(!sharded.iterations.is_empty(), "{name} needs a re-profile");
+        assert_eq!(classic, sharded, "{name} over {schedules:?}");
+        assert_eq!(classic_resumed, 0, "the classic loop never captures");
+        // Every schedule's re-profile resumes from its own checkpoint.
+        assert!(
+            sharded_resumed >= schedules.len() as u64,
+            "{name}: {sharded_resumed} phase(s) resumed over {} schedules",
+            schedules.len()
+        );
     }
 }

@@ -124,7 +124,7 @@ proptest! {
 
         let (space, program) = build_once();
         let mut space = space;
-        let (repaired_program, _) = repair_program(program, &plans, &mut space).unwrap();
+        let repaired_program = repair_program(program, &plans, &mut space).unwrap();
         let mut repaired_counts = CountingObserver::default();
         let repaired = machine.run(repaired_program, &mut repaired_counts);
 
@@ -171,7 +171,7 @@ proptest! {
 
         let (space, program) = build_once();
         let mut space = space;
-        let (repaired_program, _) = repair_program(program, &plans, &mut space).unwrap();
+        let repaired_program = repair_program(program, &plans, &mut space).unwrap();
         let mut repaired_audit = WriterAudit::default();
         machine.run(repaired_program, &mut repaired_audit);
         prop_assert_eq!(
@@ -194,8 +194,7 @@ proptest! {
         let run = || {
             let (space, program) = build_once();
             let mut space = space;
-            let (repaired_program, _) =
-                repair_program(program, &plans, &mut space).unwrap();
+            let repaired_program = repair_program(program, &plans, &mut space).unwrap();
             machine.run(repaired_program, &mut NullObserver)
         };
         prop_assert_eq!(run(), run());

@@ -369,7 +369,7 @@ mod tests {
     use crate::metrics::RESUMED_PHASES;
     use crate::program::{LoopStream, OpsStream, ProgramBuilder, ThreadSpec};
     use crate::types::Addr;
-    use crate::{Machine, ObsHandle, Op};
+    use crate::{Machine, ObsHandle, Op, SchedulePolicy};
 
     /// Written by the serial input phase, read by every worker.
     const INPUT: Addr = Addr(0x10_000);
@@ -464,30 +464,44 @@ mod tests {
         assert_eq!(captured(&sharded).phases(), 1);
     }
 
+    /// Under the observed schedule and under both perturbation families:
+    /// a checkpoint captured under a policy resumes to that policy's full
+    /// run.
     #[test]
     fn resume_equals_a_full_run() {
-        let machine = Machine::new(config(8, 2));
-        let checkpoint = captured(&machine);
-        let map = moved(SCRATCH).shared();
-        assert!(checkpoint.admits(&map));
+        let mut runs = Vec::new();
+        for schedule in [
+            SchedulePolicy::Observed,
+            SchedulePolicy::SeededShuffle { seed: 3 },
+            SchedulePolicy::ContentionMax { seed: 3 },
+        ] {
+            let machine = Machine::new(config(8, 2).with_schedule(schedule));
+            let checkpoint = captured(&machine);
+            let map = moved(SCRATCH).shared();
+            assert!(checkpoint.admits(&map));
 
-        let mut resumed = Log::default();
-        let report = machine
-            .resume(
-                &checkpoint,
-                program(false).with_layout(map.clone()),
-                &mut resumed,
-            )
-            .expect("an admitted layout resumes");
-        assert_eq!(machine.config().obs.counter(RESUMED_PHASES).get(), 1);
+            let mut resumed = Log::default();
+            let report = machine
+                .resume(
+                    &checkpoint,
+                    program(false).with_layout(map.clone()),
+                    &mut resumed,
+                )
+                .expect("an admitted layout resumes");
+            assert_eq!(machine.config().obs.counter(RESUMED_PHASES).get(), 1);
 
-        let mut full = Log::default();
-        let classic = Machine::new(config(8, 1));
-        assert_eq!(
-            report,
-            classic.run(program(false).with_layout(map), &mut full)
-        );
-        assert_eq!(resumed.events, full.events);
+            let mut full = Log::default();
+            let classic = Machine::new(config(8, 1).with_schedule(schedule));
+            assert_eq!(
+                report,
+                classic.run(program(false).with_layout(map), &mut full),
+                "{schedule}"
+            );
+            assert_eq!(resumed.events, full.events, "{schedule}");
+            runs.push(full.events);
+        }
+        assert_ne!(runs[0], runs[1], "the shuffle reorders the workers");
+        assert_ne!(runs[0], runs[2], "contention-max reorders the workers");
     }
 
     #[test]

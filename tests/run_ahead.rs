@@ -81,7 +81,6 @@ fn run_ahead_matches_strict_order_after_a_layout_rewrite() {
         let mut instance = app.build(&config);
         repair_program(instance.program, &plans, &mut instance.space)
             .expect("synthesized repair must apply")
-            .0
     });
     assert_eq!(ahead, strict, "repaired packed_triplet: run-ahead diverged");
 }
