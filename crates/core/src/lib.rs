@@ -66,4 +66,4 @@ pub use cheetah_pmu::{CorruptFields, FaultCounts, FaultPlan};
 pub use explore::{hidden_findings, union_findings, UnionFinding};
 pub use layout::{layout_strategy, RepairStrategy};
 pub use profiler::{CheetahProfiler, Profile};
-pub use report::{format_prediction_table, format_word_profile, AssessedInstance, PredictionRow};
+pub use report::{format_word_profile, AssessedInstance};

@@ -119,73 +119,6 @@ pub fn format_word_profile(instance: &SharingInstance) -> String {
     out
 }
 
-/// One line of a predicted-vs-actual validation table (the paper's
-/// Table 2 shape): how Cheetah's predicted improvement for an instance
-/// compares against the improvement actually measured after applying a
-/// fix. Produced by the `cheetah-repair` validation harness; formatted
-/// here so every predicted/actual experiment renders identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictionRow {
-    /// What was fixed — object callsite or symbol name.
-    pub label: String,
-    /// How it was fixed — the synthesized repair strategy.
-    pub strategy: String,
-    /// Cheetah's predicted improvement factor (1.0 = no change).
-    pub predicted: f64,
-    /// The measured improvement factor after applying the fix.
-    pub actual: f64,
-}
-
-impl PredictionRow {
-    /// Relative prediction error `|predicted/actual - 1|` — the quantity
-    /// the paper bounds below 10% on average.
-    pub fn relative_error(&self) -> f64 {
-        if self.actual == 0.0 {
-            return f64::INFINITY;
-        }
-        (self.predicted / self.actual - 1.0).abs()
-    }
-}
-
-/// Renders prediction-validation rows as an aligned text table.
-pub fn format_prediction_table(title: &str, rows: &[PredictionRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let label_width = rows
-        .iter()
-        .map(|r| r.label.len())
-        .chain(std::iter::once("instance".len()))
-        .max()
-        .unwrap_or(8);
-    let strategy_width = rows
-        .iter()
-        .map(|r| r.strategy.len())
-        .chain(std::iter::once("strategy".len()))
-        .max()
-        .unwrap_or(8);
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "{:<label_width$}  {:<strategy_width$}  {:>9}  {:>9}  {:>7}",
-        "instance", "strategy", "predicted", "actual", "error"
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{:<label_width$}  {:<strategy_width$}  {:>8.2}x  {:>8.2}x  {:>6.1}%",
-            row.label,
-            row.strategy,
-            row.predicted,
-            row.actual,
-            row.relative_error() * 100.0
-        );
-    }
-    if rows.is_empty() {
-        let _ = writeln!(out, "(no instances)");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,38 +220,5 @@ mod tests {
         let report = assessed();
         assert!(report.is_false_sharing());
         assert!((report.improvement() - 5.76172748).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prediction_rows_compute_relative_error() {
-        let row = PredictionRow {
-            label: "lr.c: 139".into(),
-            strategy: "split".into(),
-            predicted: 4.4,
-            actual: 4.0,
-        };
-        assert!((row.relative_error() - 0.1).abs() < 1e-9);
-        let degenerate = PredictionRow {
-            actual: 0.0,
-            ..row.clone()
-        };
-        assert!(degenerate.relative_error().is_infinite());
-    }
-
-    #[test]
-    fn prediction_table_lists_rows_and_handles_empty() {
-        let rows = vec![PredictionRow {
-            label: "lr.c: 139".into(),
-            strategy: "split".into(),
-            predicted: 4.4,
-            actual: 4.0,
-        }];
-        let table = format_prediction_table("Table 2", &rows);
-        assert!(table.contains("Table 2"));
-        assert!(table.contains("lr.c: 139"));
-        assert!(table.contains("4.40x"));
-        assert!(table.contains("4.00x"));
-        assert!(table.contains("10.0%"));
-        assert!(format_prediction_table("empty", &[]).contains("(no instances)"));
     }
 }

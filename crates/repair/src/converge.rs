@@ -1,13 +1,11 @@
 //! Fixpoint repair: profile, fix the top-ranked instance, re-profile the
 //! repaired program, repeat — judged over a set of schedules.
 //!
-//! [`ValidationHarness::validate`] measures each synthesized fix against
-//! the *original* profile — one shot. A programmer using a false-sharing
-//! tool works differently (the LASER / Predator workflow): fix the worst
-//! instance, re-run the profiler on the patched binary, and keep going
-//! until the report comes back clean. [`converge_worst_case`] automates
-//! that loop on the simulator over a set of schedules (see
-//! [`schedule_set`]):
+//! This is the crate's one predicted-vs-measured path. A programmer using
+//! a false-sharing tool fixes the worst instance, re-runs the profiler on
+//! the patched binary, and keeps going until the report comes back clean
+//! (the LASER / Predator workflow). [`converge_worst_case`] automates that
+//! loop on the simulator over a set of schedules (see [`schedule_set`]):
 //!
 //! 1. profile the current build (original layout plus every fix applied so
 //!    far) once per schedule with the Cheetah profiler;
@@ -23,12 +21,14 @@
 //! The loop converges only when **no** explored schedule reports a
 //! significant instance — schedule-hidden ones (the `staggered_writers`
 //! registry app) included. [`converge`] is the loop over the machine's own
-//! schedule alone.
+//! schedule alone; its first iteration is the paper's Table 2 experiment:
+//! fix the top reported instance, re-run, and compare the predicted with
+//! the measured improvement.
 //!
 //! The returned [`ConvergenceTrace`] carries one [`IterationRecord`] per
 //! applied fix: which instance was fixed and under which schedule it bit
 //! hardest, the predicted vs. measured improvement of that single step
-//! (measured under the first schedule), and how many significant instances
+//! (both under that worst schedule), and how many significant instances
 //! remained afterwards. Traces are bit-identical across runs of a
 //! deterministic workload builder — a property the test suite asserts.
 //!
@@ -41,7 +41,6 @@
 
 use crate::plan::{rank, synthesize, RepairPlan, RepairStrategy};
 use crate::rewrite::{apply, RepairError};
-use crate::validate::ValidationHarness;
 use cheetah_core::{union_findings, CheetahConfig, CheetahProfiler, Profile};
 use cheetah_sim::{Checkpoint, Cycles, Machine, SchedulePolicy};
 use cheetah_workloads::WorkloadInstance;
@@ -51,6 +50,49 @@ use std::fmt;
 /// distinct from the execution engine's
 /// [`cheetah_sim::OBS_LANE_ENGINE`].
 pub const OBS_LANE_CONVERGE: u32 = 3;
+
+/// The machine and profiler configuration the fixpoint loop profiles and
+/// measures with, reused across workloads.
+#[derive(Debug, Clone)]
+pub struct ValidationHarness {
+    machine: Machine,
+    config: CheetahConfig,
+}
+
+impl ValidationHarness {
+    /// Creates a harness whose machine constants are calibrated: programs
+    /// without a serial phase give Cheetah no serial-phase samples, so the
+    /// assessment falls back to "a default value learned from experience"
+    /// (§3.1 of the paper). On this simulator the experience is exact —
+    /// after a fix, a hot thread's accesses hit its private cache — so the
+    /// fallback is set to the machine's private-cache hit latency, and the
+    /// compute/stall split uses the machine's true cycles-per-instruction.
+    pub fn calibrated(machine: Machine, mut config: CheetahConfig) -> Self {
+        config.detector.default_serial_latency = machine.config().latency.l1_hit as f64;
+        config.detector.cycles_per_instruction =
+            machine.config().latency.cycles_per_instruction as f64;
+        config.detector.coherence_miss_latency = machine.config().latency.remote_dirty as f64;
+        ValidationHarness { machine, config }
+    }
+
+    /// The machine programs run on.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// The harness configuration with sampling perturbation zeroed (no
+    /// trap or setup cost). Prediction runs use this so their baseline is
+    /// the same runtime measured improvements are taken against: at the
+    /// paper's native 64K period the distinction is a few percent, but at
+    /// the dense periods scaled-down experiments need, trap costs would
+    /// de-synchronise the very contention being measured.
+    pub fn non_perturbing_config(&self) -> CheetahConfig {
+        let mut config = self.config.clone();
+        config.sampler.trap_cost = 0;
+        config.sampler.setup_cost = 0;
+        config
+    }
+}
 
 /// Bounds and thresholds of the fixpoint loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,11 +168,12 @@ pub struct IterationRecord {
     /// build this iteration started from.
     pub predicted: f64,
     /// Measured improvement of this single step: runtime before this fix
-    /// over runtime after it (both unprofiled, under the first schedule).
+    /// over runtime after it, both under `worst_schedule` — the schedule
+    /// `predicted` comes from.
     pub measured: f64,
-    /// Unprofiled runtime entering the iteration.
+    /// Unprofiled runtime entering the iteration, under `worst_schedule`.
     pub cycles_before: Cycles,
-    /// Unprofiled runtime after applying the fix.
+    /// Unprofiled runtime after applying the fix, under `worst_schedule`.
     pub cycles_after: Cycles,
     /// Significant instances (united over the schedules) seen by the
     /// profiles that chose this fix.
@@ -155,8 +198,8 @@ impl IterationRecord {
 pub struct ConvergenceTrace {
     /// Workload name.
     pub workload: String,
-    /// The explored schedule set, in exploration order; runtimes are
-    /// measured under the first.
+    /// The explored schedule set, in exploration order; the trace's
+    /// initial and final runtimes are measured under the first.
     pub schedules: Vec<SchedulePolicy>,
     /// Unprofiled runtime of the unrepaired build.
     pub initial_cycles: Cycles,
@@ -425,13 +468,19 @@ where
             .iter()
             .find(|f| f.key == plan.key)
             .expect("the plan came from a finding");
-        let cycles_before = runs[0].1.total_cycles;
+        // Prediction and measurement come from the same schedule.
+        let worst_schedule = chosen.worst_schedule();
+        let worst = schedules
+            .iter()
+            .position(|&policy| policy == worst_schedule)
+            .expect("the worst schedule is an explored one");
+        let cycles_before = runs[worst].1.total_cycles;
         let mut record = IterationRecord {
             iteration: iterations.len() as u32 + 1,
             label: plan.label.clone(),
             strategy: plan.strategy,
             co_residents: plan.co_residents,
-            worst_schedule: chosen.worst_schedule(),
+            worst_schedule,
             hidden: chosen.is_hidden(),
             sightings: chosen.sightings.len(),
             predicted,
@@ -449,7 +498,7 @@ where
         let (next, resumed_phases) = explore(&plans)?;
         runs = next;
         span.attr_u64("resumed_phases", u64::from(resumed_phases));
-        record.cycles_after = runs[0].1.total_cycles;
+        record.cycles_after = runs[worst].1.total_cycles;
         if record.cycles_after != 0 {
             record.measured = cycles_before as f64 / record.cycles_after as f64;
         }

@@ -17,17 +17,15 @@
 //!    then redirects the program's memory accesses through it. Op streams,
 //!    op counts and the fork-join phase structure are preserved exactly —
 //!    the repaired program is the same program with a better data layout.
-//! 3. **Validation** ([`validate`]): the [`ValidationHarness`] runs broken
-//!    and repaired builds on the same deterministic machine and emits a
-//!    per-instance *predicted vs. actual* table (the paper's Table 2
-//!    shape) through [`cheetah_core::format_prediction_table`].
-//! 4. **Convergence** ([`converge`](mod@converge)): the fixpoint loop a
-//!    programmer would run by hand — profile, apply the top-ranked fix,
-//!    re-profile the repaired program, repeat until no significant
-//!    instance remains (or a bound is hit) — returning a per-iteration
-//!    trace of predicted vs. measured improvement and residual instances.
-//!    [`converge_worst_case`] judges the loop over a *set* of schedules
-//!    ([`schedule_set`]: the observed one plus seeded
+//! 3. **Convergence and validation** ([`converge`](mod@converge)): the
+//!    fixpoint loop a programmer would run by hand — profile, apply the
+//!    top-ranked fix, re-profile the repaired program, repeat until no
+//!    significant instance remains (or a bound is hit) — on the
+//!    [`ValidationHarness`]'s deterministic machine, returning a
+//!    per-iteration trace of predicted vs. measured improvement and
+//!    residual instances. Its first iteration is the paper's Table 2
+//!    experiment. [`converge_worst_case`] judges the loop over a *set* of
+//!    schedules ([`schedule_set`]: the observed one plus seeded
 //!    [`cheetah_sim::SchedulePolicy`] perturbations): findings are united
 //!    across interleavings, plans are ranked by worst-case payoff, and
 //!    convergence requires every explored schedule to come back clean —
@@ -38,20 +36,29 @@
 //!
 //! ```
 //! use cheetah_core::CheetahConfig;
-//! use cheetah_repair::ValidationHarness;
+//! use cheetah_repair::{converge, ConvergeConfig, RepairStrategy, ValidationHarness};
 //! use cheetah_sim::{Machine, MachineConfig};
 //! use cheetah_workloads::{find, AppConfig};
 //!
 //! let app = find("microbench").unwrap();
 //! let config = AppConfig::with_threads(8).scaled(0.05);
-//! let harness = ValidationHarness::new(
+//! let harness = ValidationHarness::calibrated(
 //!     Machine::new(MachineConfig::with_cores(8)),
 //!     CheetahConfig::scaled(256),
 //! );
-//! let outcome = harness.validate("microbench", || app.build(&config)).unwrap();
-//! assert_eq!(outcome.instances.len(), 1, "the one array instance");
-//! assert!(outcome.instances[0].actual > 2.0, "repair must really help");
-//! println!("{}", outcome.render_table());
+//! let trace = converge(
+//!     &harness,
+//!     "microbench",
+//!     || app.build(&config),
+//!     &ConvergeConfig::default(),
+//! )?;
+//! assert_eq!(trace.iterations.len(), 1, "the one array instance");
+//! let step = &trace.iterations[0];
+//! assert_eq!(step.strategy, RepairStrategy::SplitPerThread);
+//! assert!(step.measured > 2.0, "repair must really help");
+//! assert!(step.relative_error() < 0.2, "and the prediction must say so");
+//! println!("{trace}");
+//! # Ok::<(), cheetah_repair::RepairError>(())
 //! ```
 //!
 //! [`SharingInstance`]: cheetah_core::SharingInstance
@@ -63,11 +70,10 @@
 pub mod converge;
 pub mod plan;
 pub mod rewrite;
-pub mod validate;
 
 pub use converge::{
     converge, converge_worst_case, schedule_set, ConvergeConfig, ConvergenceTrace, IterationRecord,
+    ValidationHarness,
 };
 pub use plan::{rank, synthesize, RepairPlan, RepairStrategy, ThreadCluster};
 pub use rewrite::{apply, apply_iterations, repair_program, RepairError};
-pub use validate::{InstanceValidation, ValidationHarness, ValidationOutcome};

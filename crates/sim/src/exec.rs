@@ -43,10 +43,11 @@ pub struct MachineConfig {
     /// Main-thread cycles consumed by each `pthread_create`.
     pub thread_spawn_cost: Cycles,
     /// Host threads used to *shard* parallel phases (the `--shards N` knob
-    /// of the bench harnesses). `1` (the default) runs the classic
-    /// single-threaded discrete-event loop, which steps every access
-    /// through the directory and surfaces to the observer only the
-    /// accesses its sampling replica judges sampled (see
+    /// of the bench harnesses). Serial phases run on the main thread's one
+    /// fused private-line loop at every value. `1` (the default) runs
+    /// parallel phases in the classic single-threaded discrete-event loop,
+    /// which steps every access through the directory and surfaces to the
+    /// observer only the accesses its sampling replica judges sampled (see
     /// [`crate::ThreadSampler`]). Workers take turns in time order only at
     /// accesses another worker or the observer can see; between turns a
     /// worker runs ahead through its work and its unsampled accesses to
@@ -121,7 +122,8 @@ impl MachineConfig {
     }
 
     /// Returns the configuration with the shard count replaced (builder
-    /// style): `0` = auto, `1` = classic serial loop, `>= 2` = sharded.
+    /// style): `0` = auto, `1` = classic parallel-phase loop, `>= 2` =
+    /// sharded.
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards;
         self
@@ -541,17 +543,13 @@ impl<'a> Execution<'a> {
                     } else {
                         stream
                     };
-                    if self.shards >= 2 {
-                        crate::shard::run_serial_sharded(
-                            self.config,
-                            &mut self.directory,
-                            self.observer,
-                            &mut main,
-                            index,
-                        );
-                    } else {
-                        self.run_serial(&mut main, index);
-                    }
+                    crate::shard::run_serial(
+                        self.config,
+                        &mut self.directory,
+                        self.observer,
+                        &mut main,
+                        index,
+                    );
                     phase_reports.push(PhaseReport {
                         index,
                         kind,
@@ -693,15 +691,6 @@ impl<'a> Execution<'a> {
         (report, captured)
     }
 
-    /// Runs the main thread's stream to exhaustion (serial phase).
-    fn run_serial(&mut self, main: &mut ThreadCtx, phase_index: u32) {
-        let mut judge = ForkJudge::fork(self.observer, main.id, main.judged);
-        while let Some(op) = pull(main, &mut judge) {
-            self.step(main, op, phase_index, PhaseKind::Serial);
-        }
-        main.judged = judge.last_judged();
-    }
-
     /// Runs all workers of a parallel phase to completion; returns each
     /// worker's end time, in the same order as `workers`.
     ///
@@ -761,7 +750,7 @@ impl<'a> Execution<'a> {
                     break false;
                 }
                 match next {
-                    Some(op) => self.step(worker, op, phase_index, PhaseKind::Parallel),
+                    Some(op) => self.step(worker, op, phase_index),
                     None => break true,
                 }
                 next = pull(worker, judge);
@@ -802,15 +791,10 @@ impl<'a> Execution<'a> {
         Some(ClassTable::build(&per_worker))
     }
 
-    /// Executes one operation on behalf of `thread`, advancing its clock;
-    /// an access reaches the observer only when its verdict surfaces it.
-    fn step(
-        &mut self,
-        thread: &mut ThreadCtx,
-        op: Pulled,
-        phase_index: u32,
-        phase_kind: PhaseKind,
-    ) {
+    /// Executes one operation of a parallel phase on behalf of `thread`,
+    /// advancing its clock; an access reaches the observer only when its
+    /// verdict surfaces it.
+    fn step(&mut self, thread: &mut ThreadCtx, op: Pulled, phase_index: u32) {
         match op {
             Pulled::Work(n) => {
                 thread.instructions += n;
@@ -835,7 +819,7 @@ impl<'a> Execution<'a> {
                     start: thread.clock,
                     instrs_before: thread.instructions,
                     phase_index,
-                    phase_kind,
+                    phase_kind: PhaseKind::Parallel,
                 });
                 thread.instructions += 1;
                 match kind {

@@ -20,9 +20,10 @@
 use cheetah_obs::{Counter, ObsHandle};
 
 /// Counter name for events processed *individually* in global order:
-/// every classic-loop access, and in sharded runs each directory event,
-/// each walked hit-run read, each heap pop and each surfaced access the
-/// merge replays one by one.
+/// every access the classic loop steps in a parallel phase, in sharded
+/// phases each directory event, each walked hit-run read, each heap pop
+/// and each surfaced access the merge replays one by one, and in serial
+/// phases each surfaced access.
 pub const MERGED_EVENTS: &str = "sim.merged_events";
 /// Counter name for the classic loop's scheduling steps: one per pop of
 /// its `(clock, slot)` heap in a parallel phase. A popped worker runs
@@ -33,12 +34,14 @@ pub const MERGED_EVENTS: &str = "sim.merged_events";
 pub const CLASSIC_SWITCHES: &str = "sim.classic_switches";
 /// Counter name for accesses folded in batches without individual
 /// global-order processing: precomputed private accesses absorbed into
-/// event leads and settled hit-run reads folded in O(1) per run.
+/// event leads, settled hit-run reads folded in O(1) per run, and the
+/// unsurfaced accesses of serial phases.
 pub const FOLDED_EVENTS: &str = "sim.folded_events";
 /// Counter name for accesses surfaced to the observer (sample delivery
-/// and every-access observers) by the sharded passes, a subset of their
-/// [`MERGED_EVENTS`]. The classic loop's deliveries are not counted: its
-/// merged count already covers every access it steps.
+/// and every-access observers) by sharded parallel phases and by serial
+/// phases, a subset of their [`MERGED_EVENTS`]. The classic loop's
+/// parallel-phase deliveries are not counted: its merged count already
+/// covers every access it steps.
 pub const SURFACED_EVENTS: &str = "sim.surfaced_events";
 /// Counter name for sharded classify-pass wall nanoseconds.
 pub const CLASSIFY_NS: &str = "sim.classify_ns";

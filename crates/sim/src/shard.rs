@@ -1,4 +1,5 @@
-//! Sharded deterministic execution of parallel phases.
+//! Sharded deterministic execution of parallel phases, and the fused loop
+//! every serial phase runs on at every shard count.
 //!
 //! The classic engine ([`crate::exec`]) interleaves every thread of a
 //! parallel phase through one discrete-event loop on one host thread:
@@ -600,8 +601,8 @@ impl Settle {
     }
 }
 
-/// Runs one serial phase with the sharded engine's fast local access path;
-/// drop-in replacement for the classic `Execution::run_serial`.
+/// Runs one serial phase, at every shard count, with the sharded engine's
+/// fast local access path.
 ///
 /// A serial phase is the degenerate sharded phase: one thread, no other
 /// actor, so *every* line is private and no classification or merge is
@@ -610,7 +611,7 @@ impl Settle {
 /// uniform-run write-back, sampling replica skipping the per-access
 /// observer callback. The replica forks from the main thread's *current*
 /// sampling state, so repeated serial phases chain exactly.
-pub(crate) fn run_serial_sharded(
+pub(crate) fn run_serial(
     config: &MachineConfig,
     directory: &mut Directory,
     observer: &mut dyn ExecObserver,
@@ -882,7 +883,7 @@ fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
 ///
 /// A line's class is resolved through the phase's extent table by a
 /// [`ClassCursor`]; private lines run through [`PrivateSim`]. (Serial phases do not come through
-/// here — they use the fused loop in [`run_serial_sharded`].)
+/// here — they use the fused loop in [`run_serial`].)
 #[allow(clippy::too_many_arguments)]
 fn precompute_worker(
     me: u32,

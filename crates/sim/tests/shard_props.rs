@@ -7,12 +7,15 @@
 //! (c) the replica sampling path (only sampled accesses surfaced) yields
 //!     the identical sample sequence and identical perturbed timings;
 //! (d) oversubscribed phases (more workers than cores) fall back to the
-//!     classic loop and still match.
+//!     classic loop and still match;
+//! (g) serial phases — one fused runner at every shard count — match an
+//!     access-by-access replay through the public [`Directory`].
 
 use cheetah_sim::{
-    AccessKind, AccessRecord, AccessStream, Addr, CountingObserver, Cycles, ExecObserver,
-    Footprint, LoopStream, Machine, MachineConfig, NullObserver, Op, OpsStream, Program,
-    ProgramBuilder, RunReport, SampleJudgement, SamplerFork, ThreadId, ThreadSampler, ThreadSpec,
+    AccessKind, AccessRecord, AccessStream, Addr, CoherenceStats, CoreId, CountingObserver, Cycles,
+    Directory, ExecObserver, Footprint, LoopStream, Machine, MachineConfig, NullObserver, Op,
+    OpsStream, Program, ProgramBuilder, RunReport, SampleJudgement, SamplerFork, ThreadId,
+    ThreadSampler, ThreadSpec,
 };
 use proptest::prelude::*;
 
@@ -244,8 +247,95 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         )
 }
 
+/// A serial op sequence: segments of single accesses to a 16 KiB region
+/// (hits, misses, upgrades), sequential line sweeps (next-line prefetch),
+/// and work.
+fn arb_serial_ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u64..3, 0u64..2048, 1u64..40, proptest::bool::ANY), 1..40).prop_map(
+        |segments| {
+            let base = Addr(0x10_000);
+            let op = |addr, write| {
+                if write {
+                    Op::Write(addr)
+                } else {
+                    Op::Read(addr)
+                }
+            };
+            let mut ops = Vec::new();
+            for (kind, at, len, write) in segments {
+                match kind {
+                    0 => ops.push(op(base.offset(at * 8), write)),
+                    1 => ops.extend((0..len).map(|i| op(base.offset((at / 8 + i) * 64), write))),
+                    _ => ops.push(Op::Work(len)),
+                }
+            }
+            ops
+        },
+    )
+}
+
+/// Replays serial phases on core 0 access by access through
+/// [`Directory::access`], charging `trap` cycles to every access whose
+/// retired-instruction index is a multiple of `period`; returns the total
+/// cycles and the coherence statistics.
+fn serial_reference(phases: &[Vec<Op>], period: u64, trap: Cycles) -> (Cycles, CoherenceStats) {
+    let config = MachineConfig::default();
+    let mut directory = Directory::new(config.latency.clone());
+    let (mut clock, mut instructions) = (0, 0);
+    for op in phases.iter().flatten() {
+        match *op {
+            Op::Work(n) => {
+                instructions += n;
+                clock += n * config.latency.cycles_per_instruction;
+            }
+            Op::Read(addr) | Op::Write(addr) => {
+                let kind = if matches!(op, Op::Write(_)) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let line = addr.line(config.cache_line_size);
+                clock += directory.access(CoreId(0), line, kind, clock).latency();
+                if instructions % period == 0 {
+                    clock += trap;
+                }
+                instructions += 1;
+            }
+        }
+    }
+    (clock, directory.stats().clone())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (g) Two back-to-back serial phases execute exactly like an
+    /// access-by-access replay through the directory, at shards 1 and 2,
+    /// with and without a sampling observer.
+    #[test]
+    fn serial_phases_match_access_by_access_reference(
+        first in arb_serial_ops(),
+        second in arb_serial_ops(),
+        period in 1u64..40,
+    ) {
+        let phases = [first, second];
+        let program = || {
+            ProgramBuilder::new("serial")
+                .serial(ThreadSpec::new("init", OpsStream::new(phases[0].clone())))
+                .serial(ThreadSpec::new("tail", OpsStream::new(phases[1].clone())))
+                .build()
+        };
+        let unobserved = serial_reference(&phases, 1, 0);
+        let sampled = serial_reference(&phases, period, 700);
+        for shards in [1u32, 2] {
+            let machine = Machine::new(MachineConfig::default().with_shards(shards));
+            let report = machine.run(program(), &mut NullObserver);
+            prop_assert_eq!((report.total_cycles, &report.coherence), (unobserved.0, &unobserved.1));
+            let mut sampler = ModuloSampler { period, trap: 700, samples: Vec::new() };
+            let report = machine.run(program(), &mut sampler);
+            prop_assert_eq!((report.total_cycles, &report.coherence), (sampled.0, &sampled.1));
+        }
+    }
 
     /// (a) Reports are bit-identical across shard counts, transparent
     /// observer.

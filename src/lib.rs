@@ -24,8 +24,8 @@
 //!   Fig. 1 microbenchmark, each with broken and fixed builds,
 //! * [`baselines`] — Predator-like and ownership-bitmap comparators,
 //! * [`repair`] — automated fix synthesis (pad / align / per-thread
-//!   split) and the predicted-vs-actual validation harness that closes
-//!   the loop on contribution 1,
+//!   split) and the fixpoint repair loop whose predicted-vs-measured
+//!   trace closes the loop on contribution 1,
 //! * [`obs`] — zero-dependency tracing & metrics: scoped spans, per-run
 //!   counter registries, Chrome-trace / JSONL exporters, and the per-phase
 //!   state-hash witness behind the determinism divergence locator.
@@ -61,3 +61,8 @@ pub use cheetah_repair as repair;
 pub use cheetah_runtime as runtime;
 pub use cheetah_sim as sim;
 pub use cheetah_workloads as workloads;
+
+// Compiles and runs the README's Rust examples under `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
