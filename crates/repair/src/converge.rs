@@ -227,7 +227,9 @@ pub struct ConvergenceTrace {
 }
 
 impl ConvergenceTrace {
-    /// Total measured improvement across all applied fixes.
+    /// Total measured improvement across all applied fixes, under the
+    /// first explored schedule (where `initial_cycles` and `final_cycles`
+    /// are measured).
     pub fn total_improvement(&self) -> f64 {
         if self.final_cycles == 0 {
             return 1.0;
@@ -249,7 +251,9 @@ impl ConvergenceTrace {
     }
 
     /// Renders the trace as a small table; the schedule columns appear
-    /// only when more than one schedule was explored.
+    /// only when more than one schedule was explored, and then the total
+    /// names the schedule it was measured under (each step's own
+    /// measurement is under its worst schedule).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let explored = self.schedules.len() > 1;
@@ -266,9 +270,13 @@ impl ConvergenceTrace {
         }
         let _ = writeln!(
             out,
-            "{} iteration(s), {:.2}x total, {} residual ({})",
+            "{} iteration(s), {:.2}x total{}, {} residual ({})",
             self.iterations.len(),
             self.total_improvement(),
+            match self.schedules.first() {
+                Some(first) if explored => format!(" under {first}"),
+                _ => String::new(),
+            },
             self.residual_significant,
             match (self.converged, explored) {
                 (true, true) => "converged on every schedule",
@@ -606,6 +614,7 @@ mod tests {
         assert!(trace.total_improvement() > 2.0, "{trace}");
         assert!(trace.worst_error() < 0.20, "{trace}");
         assert!(trace.render().contains("converged"));
+        assert!(trace.render().contains("x total,"), "{trace}");
     }
 
     #[test]

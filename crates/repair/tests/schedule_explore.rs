@@ -87,6 +87,12 @@ fn hidden_instance_repair_converges_on_every_schedule() {
     assert_eq!(trace.total_residual(), 0, "{trace}");
     assert_eq!(trace.residual_per_schedule.len(), schedules.len());
     assert!(trace.render().contains("hidden from observed"), "{trace}");
+    // The total is measured under the first schedule, not the steps'
+    // worst one, and says so.
+    assert!(
+        trace.render().contains("x total under observed,"),
+        "{trace}"
+    );
 }
 
 /// Workloads the observed schedule already diagnoses correctly keep their

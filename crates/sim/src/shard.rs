@@ -80,6 +80,25 @@
 //!    resumes at the merged maximum end time, exactly as it would have at
 //!    the classic join.
 //!
+//! ## Event storage
+//!
+//! The residue of a parallel phase is the sharded engine's memory
+//! high-water mark, so each event is a compact record of at most 32 bytes:
+//! its `lead` cycles plus the fields every event needs. The fields only a
+//! *surfaced* event needs (its instruction index, the replica's
+//! perturbation, a private access's cost) sit in a per-worker side list
+//! that the merge reads in event order; surfaced events are a small
+//! fraction of the residue. An unsurfaced access's perturbation folds into
+//! the next event's `lead`, as unsurfaced private accesses and hit-run
+//! reads already do. That is exact because nothing reads a worker's clock
+//! between an access and its next event: the merge's next-event time, its
+//! horizon and the perturbed policy's `earliest` all read `clock + lead`.
+//! A hit run stores its read count and line span as `u32`; a read that
+//! would overflow either closes the run and opens a new one. Each worker's
+//! events fill fixed-size chunks (`CHUNK_EVENTS`) instead of one doubling
+//! buffer, so no event is copied by a regrowth; the chunks are freed with
+//! the worker's plan after write-back.
+//!
 //! ## The hit-run settling argument, per line
 //!
 //! A read-shared line's busy windows can only be created by *first-touch*
@@ -133,7 +152,9 @@ const HOT_WAYS: usize = 4;
 const FRAG_CAP: usize = 512;
 /// Widest hit-run line span checked line by line for early folding; wider
 /// runs wait until every read-shared line has settled.
-const MAX_FOLD_SPAN: u64 = 16;
+const MAX_FOLD_SPAN: u32 = 16;
+/// Events per chunk of a worker's [`EventLog`] (256 KiB of 32-byte events).
+const CHUNK_EVENTS: usize = 8192;
 
 /// One read inside a hit-run: `cum_lead` is the folded local work since the
 /// run started, *inclusive* of the gap before this read (the first read's
@@ -147,7 +168,8 @@ struct HitRead {
 }
 
 /// One precomputed worker event, preceded by `lead` cycles of local work
-/// (compute ops, unsampled private accesses and their perturbation).
+/// (compute ops, unsurfaced accesses and their perturbation). Fields only
+/// a surfaced event needs live in the worker's [`Surfaced`] side list.
 struct Ev {
     lead: Cycles,
     kind: EvKind,
@@ -159,46 +181,79 @@ enum EvKind {
     Dir {
         addr: Addr,
         kind: AccessKind,
-        instrs_before: u64,
         /// Precomputed next-line-prefetch condition (the worker's own
         /// access sequence determines it).
         sequential: bool,
         /// First touch of a read-shared line: updates the line's settling
         /// state when merged.
         settles: bool,
+        /// Surfaced to the observer; its [`Surfaced`] record is next in
+        /// the side list.
         surfaced: bool,
-        perturbation: Option<Cycles>,
     },
     /// A *sampled* read of a read-shared line after this core's first
     /// touch: a proven L1 hit surfaced to the observer; only the
     /// busy-window wait needs global time.
-    SharedHit {
-        addr: Addr,
-        instrs_before: u64,
-        perturbation: Option<Cycles>,
-    },
-    /// A run of unsampled read-shared hits (see the module docs): the
-    /// reads `first..end` of the worker's [`WorkerPlan::hit_reads`]. The
-    /// line span and lead sum let the merge fold the run in O(1) once
-    /// every line in the span has settled.
+    SharedHit { addr: Addr },
+    /// A run of `reads` unsampled read-shared hits (see the module docs):
+    /// the worker's next `reads` [`WorkerPlan::hit_reads`], on lines
+    /// `min_line..=min_line + span`. The span and lead sum let the merge
+    /// fold the run in O(1) once every line in the span has settled.
     HitRun {
-        first: usize,
-        end: usize,
         min_line: u64,
-        max_line: u64,
+        reads: u32,
+        span: u32,
     },
     /// A private access that must be surfaced to the observer (sampled, or
-    /// the observer demanded every access); outcome and cost precomputed.
+    /// the observer demanded every access); outcome precomputed, cost in
+    /// its [`Surfaced`] record.
     Private {
         addr: Addr,
         kind: AccessKind,
-        instrs_before: u64,
         outcome: AccessOutcome,
-        cost: Cycles,
-        perturbation: Option<Cycles>,
     },
     /// End of the worker's stream; `lead` holds trailing compute cycles.
     Exit,
+}
+
+/// What the merge needs of a surfaced event beyond its [`Ev`]: one record
+/// per surfaced event, in event order.
+#[derive(Clone, Copy)]
+struct Surfaced {
+    instrs_before: u64,
+    /// The replica's judgement; `None` when the observer's `on_access`
+    /// return is charged instead.
+    perturbation: Option<Cycles>,
+    /// Precomputed cost of a private access (unused by directory events,
+    /// whose latency the merge computes).
+    cost: Cycles,
+}
+
+/// A worker's events in fixed-size chunks, walked in order by the merge.
+#[derive(Default)]
+struct EventLog {
+    chunks: Vec<Vec<Ev>>,
+}
+
+impl EventLog {
+    fn push(&mut self, ev: Ev) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_EVENTS => chunk.push(ev),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_EVENTS);
+                chunk.push(ev);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    fn iter(&self) -> std::iter::Flatten<std::slice::Iter<'_, Vec<Ev>>> {
+        self.chunks.iter().flatten()
+    }
 }
 
 /// One materialised memory access: `work_before` compute instructions since
@@ -475,7 +530,9 @@ impl PrivateSim {
 
 /// Precompute output of one worker.
 struct WorkerPlan {
-    events: Vec<Ev>,
+    events: EventLog,
+    /// One record per surfaced event, in event order.
+    surfaced: Vec<Surfaced>,
     /// Every hit run's reads, back to back in event order (one buffer per
     /// worker instead of an allocation per run).
     hit_reads: Vec<HitRead>,
@@ -572,24 +629,18 @@ impl Settle {
         }
     }
 
-    /// Whether a hit run spanning `[min_line, max_line]` starting at
+    /// Whether a hit run spanning `[min_line, min_line + span]` starting at
     /// `start` is provably wait-free: either everything settled globally,
     /// or every read-shared line in the (narrow) span individually settled
     /// with its final window expired.
-    fn run_foldable(
-        &self,
-        directory: &Directory,
-        min_line: u64,
-        max_line: u64,
-        start: Cycles,
-    ) -> bool {
+    fn run_foldable(&self, directory: &Directory, min_line: u64, span: u32, start: Cycles) -> bool {
         if self.all_settled(start) {
             return true;
         }
-        if max_line - min_line >= MAX_FOLD_SPAN {
+        if span >= MAX_FOLD_SPAN {
             return false;
         }
-        for line in min_line..=max_line {
+        for line in min_line..=min_line + u64::from(span) {
             let line = CacheLineId(line);
             if let Some(entry) = self.lines.get(&line) {
                 if !entry.settled || directory.busy_until_of(line) > start {
@@ -793,6 +844,17 @@ pub(crate) fn run_parallel_sharded(
         )
     });
     let t_pre = t0.elapsed();
+    span_precompute.attr_u64(
+        "events",
+        plans.iter().map(|plan| plan.events.len() as u64).sum(),
+    );
+    span_precompute.attr_u64(
+        "event_chunks",
+        plans
+            .iter()
+            .map(|plan| plan.events.chunks.len() as u64)
+            .sum(),
+    );
     span_precompute.finish();
     let mut span_merge = config.obs.span("shard.merge", OBS_LANE_ENGINE);
     span_merge.attr_u64("phase", u64::from(phase_index));
@@ -896,7 +958,8 @@ fn precompute_worker(
     latency: &LatencyModel,
     line_size: u64,
 ) -> WorkerPlan {
-    let mut events: Vec<Ev> = Vec::new();
+    let mut events = EventLog::default();
+    let mut surfaced_side: Vec<Surfaced> = Vec::new();
     let mut lead: Cycles = 0;
     let (mut instructions, mut reads, mut writes) = (0u64, 0u64, 0u64);
     let mut sim = PrivateSim::new(core);
@@ -919,16 +982,18 @@ fn precompute_worker(
     let mut run_cum: Cycles = 0;
     let (mut run_min, mut run_max) = (u64::MAX, 0u64);
 
+    // Closes the open hit run. Its count and span fit the event's `u32`
+    // fields: the join below closes a run before a read would overflow
+    // either.
     macro_rules! flush_run {
         () => {
             if hit_reads.len() > run_first {
                 events.push(Ev {
                     lead: run_lead,
                     kind: EvKind::HitRun {
-                        first: run_first,
-                        end: hit_reads.len(),
                         min_line: run_min,
-                        max_line: run_max,
+                        reads: (hit_reads.len() - run_first) as u32,
+                        span: (run_max - run_min) as u32,
                     },
                 });
                 #[allow(unused_assignments)]
@@ -938,6 +1003,28 @@ fn precompute_worker(
                     run_min = u64::MAX;
                     run_max = 0;
                 }
+            }
+        };
+    }
+
+    // Emits the current access's event after the pending lead. A surfaced
+    // access's side record goes to the side list; an unsurfaced one's
+    // perturbation folds into the next event's lead, since nothing reads
+    // the worker's clock between an access and its next event.
+    macro_rules! emit {
+        ($kind:expr, $surfaced:expr, $perturbation:expr, $cost:expr) => {
+            events.push(Ev {
+                lead: std::mem::take(&mut lead),
+                kind: $kind,
+            });
+            if $surfaced {
+                surfaced_side.push(Surfaced {
+                    instrs_before: instructions - 1,
+                    perturbation: $perturbation,
+                    cost: $cost,
+                });
+            } else {
+                lead = $perturbation.expect("unsurfaced access has judgement");
             }
         };
     }
@@ -994,17 +1081,16 @@ fn precompute_worker(
                 let (outcome, cost) = sim.access(directory, latency, core, line, write, sequential);
                 if surfaced {
                     flush_run!();
-                    events.push(Ev {
-                        lead: std::mem::take(&mut lead),
-                        kind: EvKind::Private {
+                    emit!(
+                        EvKind::Private {
                             addr,
                             kind,
-                            instrs_before: instructions - 1,
-                            outcome,
-                            cost,
-                            perturbation,
+                            outcome
                         },
-                    });
+                        true,
+                        perturbation,
+                        cost
+                    );
                 } else {
                     folded += 1;
                     lead += cost + perturbation.expect("unsurfaced access has judgement");
@@ -1021,31 +1107,32 @@ fn precompute_worker(
                     }
                     rs_first_touches.push((line, sequential));
                     flush_run!();
-                    events.push(Ev {
-                        lead: std::mem::take(&mut lead),
-                        kind: EvKind::Dir {
+                    emit!(
+                        EvKind::Dir {
                             addr,
                             kind,
-                            instrs_before: instructions - 1,
                             sequential,
                             settles: true,
-                            surfaced,
-                            perturbation,
+                            surfaced
                         },
-                    });
+                        surfaced,
+                        perturbation,
+                        0
+                    );
                 } else if surfaced {
                     flush_run!();
-                    events.push(Ev {
-                        lead: std::mem::take(&mut lead),
-                        kind: EvKind::SharedHit {
-                            addr,
-                            instrs_before: instructions - 1,
-                            perturbation,
-                        },
-                    });
+                    emit!(EvKind::SharedHit { addr }, true, perturbation, 0);
                 } else {
-                    // Join (or open) the hit run; perturbation lands after
-                    // the hit, i.e. in the next lead.
+                    // Join (or open) the hit run, closing it first if this
+                    // read would overflow its read count or line span;
+                    // perturbation lands after the hit, i.e. in the next
+                    // lead.
+                    if hit_reads.len() > run_first
+                        && (hit_reads.len() - run_first >= u32::MAX as usize
+                            || run_max.max(line.0) - run_min.min(line.0) > u64::from(u32::MAX))
+                    {
+                        flush_run!();
+                    }
                     if hit_reads.len() == run_first {
                         run_lead = std::mem::take(&mut lead);
                     } else {
@@ -1062,18 +1149,18 @@ fn precompute_worker(
             }
             ExtClass::WriteShared => {
                 flush_run!();
-                events.push(Ev {
-                    lead: std::mem::take(&mut lead),
-                    kind: EvKind::Dir {
+                emit!(
+                    EvKind::Dir {
                         addr,
                         kind,
-                        instrs_before: instructions - 1,
                         sequential,
                         settles: false,
-                        surfaced,
-                        perturbation,
+                        surfaced
                     },
-                });
+                    surfaced,
+                    perturbation,
+                    0
+                );
             }
         }
     }
@@ -1087,6 +1174,7 @@ fn precompute_worker(
 
     WorkerPlan {
         events,
+        surfaced: surfaced_side,
         hit_reads,
         instructions,
         reads,
@@ -1104,9 +1192,12 @@ struct MergeWorker<'a> {
     id: ThreadId,
     core: CoreId,
     clock: Cycles,
-    events: std::slice::Iter<'a, Ev>,
+    events: std::iter::Flatten<std::slice::Iter<'a, Vec<Ev>>>,
+    surfaced: std::slice::Iter<'a, Surfaced>,
     hit_reads: &'a [HitRead],
     pending: Option<&'a Ev>,
+    /// Index into `hit_reads` of the pending (or next) hit run's first read.
+    run_start: usize,
     /// Non-zero when `pending` is a hit run resumed at this read index.
     run_cursor: usize,
 }
@@ -1116,15 +1207,18 @@ impl<'a> MergeWorker<'a> {
     fn next_time(&self) -> Cycles {
         let ev = self.pending.expect("live worker has a pending event");
         if self.run_cursor > 0 {
-            match &ev.kind {
-                EvKind::HitRun { first, end, .. } => {
-                    self.clock + run_lead_at(&self.hit_reads[*first..*end], self.run_cursor)
-                }
-                _ => unreachable!("run cursor only on hit runs"),
-            }
+            self.clock + run_lead_at(&self.hit_reads[self.run_start..], self.run_cursor)
         } else {
             self.clock + ev.lead
         }
+    }
+
+    /// The side record of the surfaced event being replayed.
+    fn next_surfaced(&mut self) -> Surfaced {
+        *self
+            .surfaced
+            .next()
+            .expect("every surfaced event has a side record")
     }
 
     /// The line of the pending event when it is a directory write.
@@ -1216,11 +1310,9 @@ impl<'a> Replay<'a> {
             EvKind::Dir {
                 addr,
                 kind,
-                instrs_before,
                 sequential,
                 settles,
                 surfaced,
-                perturbation,
             } => {
                 self.merged += 1;
                 w.clock += ev.lead;
@@ -1229,32 +1321,21 @@ impl<'a> Replay<'a> {
                     self.directory
                         .access_hinted(w.core, line, *kind, w.clock, *sequential);
                 let latency_cycles = result.latency();
-                if *surfaced {
+                // An unsurfaced access's perturbation is in the next lead.
+                let perturb = if *surfaced {
                     self.surfaced += 1;
-                }
-                let perturb = self.surface(
-                    w,
-                    *addr,
-                    *kind,
-                    result.outcome,
-                    latency_cycles,
-                    *instrs_before,
-                    Verdict {
-                        perturbation: *perturbation,
-                        surfaced: *surfaced,
-                    },
-                );
+                    let side = w.next_surfaced();
+                    self.surface(w, *addr, *kind, result.outcome, latency_cycles, side)
+                } else {
+                    0
+                };
                 w.clock += latency_cycles + perturb;
                 if *settles {
                     self.settle
                         .merge_first_touch(self.directory, line, *sequential);
                 }
             }
-            EvKind::SharedHit {
-                addr,
-                instrs_before,
-                perturbation,
-            } => {
+            EvKind::SharedHit { addr } => {
                 self.merged += 1;
                 self.surfaced += 1;
                 w.clock += ev.lead;
@@ -1262,27 +1343,23 @@ impl<'a> Replay<'a> {
                 self.directory
                     .record_precomputed(AccessOutcome::L1Hit, wait);
                 let latency_cycles = wait + self.l1_cost;
+                let side = w.next_surfaced();
                 let perturb = self.surface(
                     w,
                     *addr,
                     AccessKind::Read,
                     AccessOutcome::L1Hit,
                     latency_cycles,
-                    *instrs_before,
-                    Verdict {
-                        perturbation: *perturbation,
-                        surfaced: true,
-                    },
+                    side,
                 );
                 w.clock += latency_cycles + perturb;
             }
             EvKind::HitRun {
-                first,
-                end,
                 min_line,
-                max_line,
+                reads,
+                span,
             } => {
-                let reads = &w.hit_reads[*first..*end];
+                let reads = &w.hit_reads[w.run_start..w.run_start + *reads as usize];
                 let mut cursor = w.run_cursor;
                 if cursor == 0 {
                     w.clock += ev.lead;
@@ -1297,7 +1374,7 @@ impl<'a> Replay<'a> {
                     let start = w.clock + run_lead_at(reads, cursor);
                     if self
                         .settle
-                        .run_foldable(self.directory, *min_line, *max_line, start)
+                        .run_foldable(self.directory, *min_line, *span, start)
                     {
                         // Settled: no read can wait, nothing global is
                         // touched — fold the rest atomically.
@@ -1328,33 +1405,21 @@ impl<'a> Replay<'a> {
                     w.clock += wait + self.l1_cost;
                     cursor += 1;
                 }
+                w.run_start += reads.len();
                 w.run_cursor = 0;
             }
             EvKind::Private {
                 addr,
                 kind,
-                instrs_before,
                 outcome,
-                cost,
-                perturbation,
             } => {
                 self.merged += 1;
                 self.surfaced += 1;
                 w.clock += ev.lead;
                 // Stats were already counted by the precompute pass.
-                let perturb = self.surface(
-                    w,
-                    *addr,
-                    *kind,
-                    *outcome,
-                    *cost,
-                    *instrs_before,
-                    Verdict {
-                        perturbation: *perturbation,
-                        surfaced: true,
-                    },
-                );
-                w.clock += cost + perturb;
+                let side = w.next_surfaced();
+                let perturb = self.surface(w, *addr, *kind, *outcome, side.cost, side);
+                w.clock += side.cost + perturb;
             }
         }
         w.pending = Some(w.events.next().expect("Exit terminates the stream"));
@@ -1364,7 +1429,6 @@ impl<'a> Replay<'a> {
     /// Builds the access record and invokes the observer for a surfaced
     /// access; returns the perturbation to charge (the replica's when one
     /// was forked, otherwise the observer's).
-    #[allow(clippy::too_many_arguments)]
     fn surface(
         &mut self,
         w: &MergeWorker<'_>,
@@ -1372,9 +1436,12 @@ impl<'a> Replay<'a> {
         kind: AccessKind,
         outcome: AccessOutcome,
         latency: Cycles,
-        instrs_before: u64,
-        verdict: Verdict,
+        side: Surfaced,
     ) -> Cycles {
+        let verdict = Verdict {
+            perturbation: side.perturbation,
+            surfaced: true,
+        };
         verdict.charge(self.observer, || AccessRecord {
             thread: w.id,
             core: w.core,
@@ -1383,7 +1450,7 @@ impl<'a> Replay<'a> {
             outcome,
             latency,
             start: w.clock,
-            instrs_before,
+            instrs_before: side.instrs_before,
             phase_index: self.phase_index,
             phase_kind: PhaseKind::Parallel,
         })
@@ -1426,8 +1493,10 @@ fn merge(
                 core: ctx.core,
                 clock: ctx.clock,
                 events,
+                surfaced: plan.surfaced.iter(),
                 hit_reads: &plan.hit_reads,
                 pending,
+                run_start: 0,
                 run_cursor: 0,
             }
         })
@@ -1581,4 +1650,15 @@ fn parallel_map<T: Send, R: Send>(
     out.into_iter()
         .map(|r| r.expect("every index produced"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Merged events are the engine's memory high-water mark.
+    #[test]
+    fn event_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<Ev>() <= 32);
+    }
 }

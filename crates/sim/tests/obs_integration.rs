@@ -10,7 +10,9 @@
 //!     locator's probe) is bit-identical across shard counts {1, 2, 4}
 //!     for real registry workloads — the classic loop and the sharded
 //!     classify/precompute/merge passes reach the same logical machine
-//!     state at every phase boundary, not merely the same final report.
+//!     state at every phase boundary, not merely the same final report;
+//! (c) every `shard.precompute` span reports the residue it built: its
+//!     event count and the fixed-size chunks holding them.
 
 use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver};
 use cheetah_workloads::{find, AppConfig};
@@ -91,6 +93,39 @@ fn phase_witnesses(name: &str, threads: u32, scale: f64, shards: u32) -> Vec<(u6
             )
         })
         .collect()
+}
+
+/// (c) A sharded run's `shard.precompute` spans carry the phase's event
+/// count and the number of chunks holding those events.
+#[test]
+fn precompute_spans_report_event_residue() {
+    let app = find("linear_regression").expect("registered workload");
+    let instance = app.build(&AppConfig {
+        threads: 4,
+        scale: 0.05,
+        fixed: false,
+        seed: 1,
+    });
+    let obs = ObsHandle::fresh();
+    let machine = Machine::new(
+        MachineConfig::with_cores(16)
+            .with_shards(2)
+            .with_obs(obs.clone()),
+    );
+    machine.run(instance.program, &mut NullObserver);
+    let spans = obs.spans_sorted_by_attr("shard.precompute", "phase");
+    assert!(!spans.is_empty(), "no shard.precompute spans recorded");
+    for span in &spans {
+        let events = span.attr_u64("events").expect("events attr");
+        let chunks = span.attr_u64("event_chunks").expect("event_chunks attr");
+        // Each worker's log ends in an exit event and fills its chunks in
+        // order, so every chunk holds at least one event.
+        assert!(
+            events > 0 && chunks > 0,
+            "{events} events in {chunks} chunks"
+        );
+        assert!(chunks <= events, "{events} events in {chunks} chunks");
+    }
 }
 
 proptest! {

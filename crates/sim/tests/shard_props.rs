@@ -177,42 +177,74 @@ impl ExecObserver for Recorder {
 /// A modulo sampler with a faithful replica: samples the accesses whose
 /// retired-instruction index is a multiple of `period`, charging a fixed
 /// trap cost — the minimal honest implementation of the replica contract.
+/// Unsampled accesses at indices `≡ 1 (mod 3)` are charged `idle_trap`
+/// (a counter-overflow cost with no sample), which the engine must fold
+/// into the thread's time without surfacing the access.
 struct ModuloSampler {
     period: u64,
     trap: Cycles,
+    idle_trap: Cycles,
     samples: Vec<(ThreadId, Addr, Cycles, Cycles)>,
+}
+
+impl ModuloSampler {
+    fn new(period: u64, trap: Cycles) -> Self {
+        ModuloSampler::with_idle_trap(period, trap, 0)
+    }
+
+    fn with_idle_trap(period: u64, trap: Cycles, idle_trap: Cycles) -> Self {
+        ModuloSampler {
+            period,
+            trap,
+            idle_trap,
+            samples: Vec::new(),
+        }
+    }
 }
 
 struct ModuloReplica {
     period: u64,
     trap: Cycles,
+    idle_trap: Cycles,
+}
+
+/// The judgement both the sampler and its replica apply.
+fn modulo_judgement(period: u64, trap: Cycles, idle_trap: Cycles, index: u64) -> SampleJudgement {
+    let sampled = index.is_multiple_of(period);
+    SampleJudgement {
+        perturbation: if sampled {
+            trap
+        } else if index % 3 == 1 {
+            idle_trap
+        } else {
+            0
+        },
+        sampled,
+    }
 }
 
 impl ThreadSampler for ModuloReplica {
     fn judge(&mut self, instrs_before: u64) -> SampleJudgement {
-        let sampled = instrs_before.is_multiple_of(self.period);
-        SampleJudgement {
-            perturbation: if sampled { self.trap } else { 0 },
-            sampled,
-        }
+        modulo_judgement(self.period, self.trap, self.idle_trap, instrs_before)
     }
 }
 
 impl ExecObserver for ModuloSampler {
     fn on_access(&mut self, record: &AccessRecord) -> Cycles {
-        if record.instrs_before.is_multiple_of(self.period) {
+        let judgement =
+            modulo_judgement(self.period, self.trap, self.idle_trap, record.instrs_before);
+        if judgement.sampled {
             self.samples
                 .push((record.thread, record.addr, record.latency, record.start));
-            self.trap
-        } else {
-            0
         }
+        judgement.perturbation
     }
 
     fn fork_sampler(&mut self, _thread: ThreadId) -> SamplerFork {
         SamplerFork::Replica(Box::new(ModuloReplica {
             period: self.period,
             trap: self.trap,
+            idle_trap: self.idle_trap,
         }))
     }
 }
@@ -331,7 +363,7 @@ proptest! {
             let machine = Machine::new(MachineConfig::default().with_shards(shards));
             let report = machine.run(program(), &mut NullObserver);
             prop_assert_eq!((report.total_cycles, &report.coherence), (unobserved.0, &unobserved.1));
-            let mut sampler = ModuloSampler { period, trap: 700, samples: Vec::new() };
+            let mut sampler = ModuloSampler::new(period, 700);
             let report = machine.run(program(), &mut sampler);
             prop_assert_eq!((report.total_cycles, &report.coherence), (sampled.0, &sampled.1));
         }
@@ -362,12 +394,19 @@ proptest! {
     }
 
     /// (c) Replica sampling: identical sample sequence (content and order)
-    /// and identical perturbed report.
+    /// and identical perturbed report, also when unsampled accesses are
+    /// charged (`idle_trap`), which the sharded engine folds into the next
+    /// event's lead.
     #[test]
-    fn replica_sampling_identical(shape in arb_shape(), shards in 2u32..6, period in 1u64..9) {
-        let mut classic = ModuloSampler { period, trap: 1_000, samples: Vec::new() };
+    fn replica_sampling_identical(
+        shape in arb_shape(),
+        shards in 2u32..6,
+        period in 1u64..9,
+        idle_trap in prop::sample::select(vec![0u64, 1, 37, 400]),
+    ) {
+        let mut classic = ModuloSampler::with_idle_trap(period, 1_000, idle_trap);
         let baseline = run(&shape, 1, &mut classic);
-        let mut sharded_sampler = ModuloSampler { period, trap: 1_000, samples: Vec::new() };
+        let mut sharded_sampler = ModuloSampler::with_idle_trap(period, 1_000, idle_trap);
         let sharded = run(&shape, shards, &mut sharded_sampler);
         prop_assert_eq!(&baseline, &sharded);
         prop_assert_eq!(&classic.samples, &sharded_sampler.samples);
@@ -398,9 +437,9 @@ proptest! {
         prop_assert_eq!(&classic, &extent_report);
         prop_assert_eq!(&classic_rec.records, &extent_rec.records);
 
-        let mut extent_sampler = ModuloSampler { period, trap: 700, samples: Vec::new() };
+        let mut extent_sampler = ModuloSampler::new(period, 700);
         let extent_sampled = run(&shape, shards, &mut extent_sampler);
-        let mut fallback_sampler = ModuloSampler { period, trap: 700, samples: Vec::new() };
+        let mut fallback_sampler = ModuloSampler::new(period, 700);
         let fallback_sampled = run_hidden(&shape, shards, &mut fallback_sampler);
         prop_assert_eq!(&extent_sampled, &fallback_sampled);
         prop_assert_eq!(&extent_sampler.samples, &fallback_sampler.samples);
@@ -530,6 +569,48 @@ fn fully_contended_run_identical() {
     assert!(classic.coherence.invalidations > 100);
 }
 
+/// Two workers alternate unsampled reads of two read-shared lines more
+/// than `u32::MAX` lines apart: every hit run the alternation would form
+/// is wider than a run's `u32` line span, so the precompute pass splits
+/// it. The second worker first-touches the far line late, in the middle
+/// of the first worker's hits, so a run whose span wrapped to the near
+/// line's neighbourhood would fold across the far line's busy window. The
+/// report equals the classic loop's at every shard count, with and without
+/// a sampling observer.
+#[test]
+fn distant_read_shared_lines_identical_across_shard_counts() {
+    let near = Addr(0x4000);
+    let far = Addr(near.0 + ((1u64 << 32) + 1) * 64);
+    let build = |late: u64| {
+        ProgramBuilder::new("distant")
+            .parallel(vec![
+                ThreadSpec::new(
+                    "w0",
+                    LoopStream::new(vec![Op::Read(near), Op::Work(3), Op::Read(far)], 300),
+                ),
+                ThreadSpec::new(
+                    "w1",
+                    LoopStream::new(vec![Op::Read(near), Op::Work(late), Op::Read(far)], 4),
+                ),
+            ])
+            .build()
+    };
+    for late in [40u64, 200, 700] {
+        let run_at = |shards: u32| {
+            let machine = Machine::new(MachineConfig::with_cores(4).with_shards(shards));
+            let unobserved = machine.run(build(late), &mut NullObserver);
+            let mut sampler = ModuloSampler::with_idle_trap(97, 300, 11);
+            let sampled = machine.run(build(late), &mut sampler);
+            (unobserved, sampled, sampler.samples)
+        };
+        let classic = run_at(1);
+        assert_eq!(classic.0.coherence.l1_hits, 2 * (300 + 4) - 4);
+        for shards in 2u32..6 {
+            assert_eq!(classic, run_at(shards), "{shards} shards, late {late}");
+        }
+    }
+}
+
 /// The cross-object workloads (co-resident objects packed into shared
 /// cache lines — the line-level assessment's stress cases) execute
 /// bit-identically across shard counts {1, 2, 4}: reports, the full
@@ -557,11 +638,7 @@ fn cross_object_workloads_identical_across_shard_counts() {
             let machine = Machine::new(MachineConfig::with_cores(16).with_shards(shards));
             let mut recorder = Recorder::default();
             let report = machine.run(app.build(&config).program, &mut recorder);
-            let mut sampler = ModuloSampler {
-                period: 7,
-                trap: 500,
-                samples: Vec::new(),
-            };
+            let mut sampler = ModuloSampler::new(7, 500);
             let sampled_report = machine.run(app.build(&config).program, &mut sampler);
             (report, recorder, sampled_report, sampler.samples)
         };
