@@ -46,6 +46,6 @@ pub mod report;
 pub mod summary;
 
 pub use crosscheck::soundness_violations;
-pub use lint::{lint_execution, lint_static, lint_workload, LintDiagnostic};
+pub use lint::{lint_static, lint_workload, LintDiagnostic};
 pub use report::{analyze_layout, prefilter_for, FindingOrigin, ObjectFinding, StaticReport};
 pub use summary::{summarize, ClassifiedRange, Identity, LineClass, StaticSummary};

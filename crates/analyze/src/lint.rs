@@ -1,47 +1,43 @@
 //! Workload-declaration lints: the bugs that silently degrade the
 //! analyses built on declared footprints.
 //!
-//! Every result in this crate — and the sharded executor's extent
-//! classification — is only as sound as the workload's declarations. A
-//! stream whose [`Footprint`] misses executed accesses used to surface as
-//! a silent per-line fallback deep inside the sharded simulator; an
-//! `Unknown` footprint quietly disables the static analysis; overlapping
-//! object extents make address attribution ambiguous. `--lint` turns each
-//! of these into a structured [`LintDiagnostic`] that CI can gate on.
+//! Every result in this crate — and the simulator's extent classification,
+//! classic-loop run-ahead and checkpoint prefix rule — is only as sound as
+//! the workload's declarations. A stream whose [`Footprint`] misses
+//! executed accesses is trusted anyway (the sharded simulator at most
+//! demotes the stray accesses, silently); an `Unknown` footprint quietly
+//! disables the static analysis; overlapping object extents make address
+//! attribution ambiguous. `--lint` turns each of these into a structured
+//! [`LintDiagnostic`] that CI can gate on.
 //!
-//! Two passes:
+//! Two passes, neither of which simulates:
 //!
 //! * [`lint_static`] inspects declarations only (unknown footprints,
-//!   overlapping extents, duplicate worker names) — cheap, no execution.
-//! * [`lint_execution`] actually runs the program sharded (2 shards) on a
-//!   fresh telemetry registry and reads back
-//!   [`cheetah_sim::metrics::FOOTPRINT_VIOLATIONS`]: the count of
-//!   accesses the executor had to classify via its contract-violation
-//!   fallback because the declared footprint did not cover them.
+//!   overlapping extents, duplicate worker names);
+//! * [`lint_workload`] adds [`cheetah_sim::footprint::audit`], which drains
+//!   every serial and parallel stream against its declared footprint byte
+//!   by byte and reports each violating thread.
 
 use cheetah_heap::AddressSpace;
-use cheetah_sim::observer::NullObserver;
-use cheetah_sim::{Footprint, Machine, MachineConfig, ObsHandle, Phase, Program};
+use cheetah_sim::footprint::{audit, FootprintViolation};
+use cheetah_sim::{Footprint, Phase, Program};
 
 /// One declaration bug found in a workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LintDiagnostic {
     /// A parallel worker's stream declares [`Footprint::Unknown`]: the
-    /// static analysis degrades to "everything is a candidate" and the
-    /// sharded executor falls back to per-touched-line classification.
+    /// static analysis degrades to "everything is a candidate", the
+    /// footprint audit cannot check it, and the sharded executor drains
+    /// it into a trace before classifying.
     UnknownFootprint {
         /// Phase index the worker runs in.
         phase: usize,
         /// Declared worker name.
         thread: String,
     },
-    /// Executed accesses fell outside their stream's declared footprint:
-    /// the sharded executor classified them through its violation
-    /// fallback (demotion to the fully-ordered write-shared path).
-    FootprintViolations {
-        /// Number of fallback classifications during the lint run.
-        count: u64,
-    },
+    /// A thread's accesses fell outside its stream's declared footprint
+    /// (the [`audit`] record: phase, thread, count and first access).
+    FootprintViolations(FootprintViolation),
     /// Two live tracked objects claim overlapping byte extents, making
     /// sampled-address attribution ambiguous.
     OverlappingExtents {
@@ -68,11 +64,15 @@ impl std::fmt::Display for LintDiagnostic {
                 "unknown footprint: worker '{thread}' of phase {phase} declares \
                  Footprint::Unknown (static analysis degrades to all-candidate)"
             ),
-            LintDiagnostic::FootprintViolations { count } => write!(
-                f,
-                "footprint under-declared: {count} executed accesses fell outside their \
-                 stream's declared extents (sharded executor used the violation fallback)"
-            ),
+            LintDiagnostic::FootprintViolations(violation) => {
+                let (addr, kind) = violation.first;
+                write!(
+                    f,
+                    "footprint under-declared: thread '{}' of phase {} makes {} accesses \
+                     outside its declared extents (first: {kind} {addr})",
+                    violation.thread, violation.phase, violation.count
+                )
+            }
             LintDiagnostic::OverlappingExtents { a, b } => {
                 write!(f, "overlapping object extents: '{a}' overlaps '{b}'")
             }
@@ -142,42 +142,22 @@ pub fn lint_static(program: &Program, space: &AddressSpace) -> Vec<LintDiagnosti
     out
 }
 
-/// Execution lint: runs `program` under the sharded executor (2 shards)
-/// on a fresh telemetry registry and reports any contract-violation
-/// fallbacks — executed accesses the declared footprints did not cover.
-///
-/// Consumes the program (streams are single-use); build a fresh instance
-/// for profiling afterwards.
-pub fn lint_execution(program: Program) -> Vec<LintDiagnostic> {
-    let obs = ObsHandle::fresh();
-    let machine = Machine::new(
-        MachineConfig::default()
-            .with_shards(2)
-            .with_obs(obs.clone()),
-    );
-    machine.run(program, &mut NullObserver);
-    let count = obs
-        .counter(cheetah_sim::metrics::FOOTPRINT_VIOLATIONS)
-        .get();
-    if count > 0 {
-        vec![LintDiagnostic::FootprintViolations { count }]
-    } else {
-        Vec::new()
-    }
-}
-
 /// Both passes over one workload instance: static lints first, then the
-/// execution lint (which consumes the program).
+/// footprint audit (which consumes the program).
 pub fn lint_workload(program: Program, space: &AddressSpace) -> Vec<LintDiagnostic> {
     let mut out = lint_static(&program, space);
-    out.extend(lint_execution(program));
+    out.extend(
+        audit(program)
+            .into_iter()
+            .map(LintDiagnostic::FootprintViolations),
+    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_sim::{Addr, ByteExtent, LoopStream, Op, ProgramBuilder, ThreadSpec};
+    use cheetah_sim::{AccessKind, Addr, ByteExtent, LoopStream, Op, ProgramBuilder, ThreadSpec};
 
     #[test]
     fn clean_program_has_no_diagnostics() {
@@ -214,41 +194,75 @@ mod tests {
             .any(|d| matches!(d, LintDiagnostic::DuplicateWorkerName { name, .. } if name == "w")));
     }
 
-    #[test]
-    fn under_declared_footprint_caught_by_execution_lint() {
-        // A stream that claims one word but writes a second line too.
-        struct Liar {
-            ops: Vec<Op>,
+    /// A stream that claims one word but writes a second line too.
+    struct Liar {
+        ops: Vec<Op>,
+    }
+
+    impl cheetah_sim::AccessStream for Liar {
+        fn next_op(&mut self) -> Option<Op> {
+            self.ops.pop()
         }
-        impl cheetah_sim::AccessStream for Liar {
-            fn next_op(&mut self) -> Option<Op> {
-                self.ops.pop()
-            }
-            fn footprint(&self) -> Footprint {
-                Footprint::bounded(vec![ByteExtent::word(Addr(0x4000_0000), true)])
-            }
+        fn footprint(&self) -> Footprint {
+            Footprint::bounded(vec![ByteExtent::word(Addr(0x4000_0000), true)])
         }
-        let program = ProgramBuilder::new("liar")
-            .parallel(vec![
-                ThreadSpec::new(
-                    "liar",
-                    Liar {
-                        ops: vec![Op::Write(Addr(0x4000_0000)), Op::Write(Addr(0x4000_1000))],
-                    },
-                ),
-                ThreadSpec::new(
-                    "honest",
-                    LoopStream::new(vec![Op::Write(Addr(0x4000_0100))], 4),
-                ),
-            ])
-            .build();
-        let diagnostics = lint_execution(program);
-        assert!(
-            matches!(
-                diagnostics.as_slice(),
-                [LintDiagnostic::FootprintViolations { count }] if *count > 0
-            ),
-            "expected a violation diagnostic, got {diagnostics:?}"
+    }
+
+    fn liar() -> ThreadSpec {
+        ThreadSpec::new(
+            "liar",
+            Liar {
+                ops: vec![Op::Write(Addr(0x4000_1000)), Op::Write(Addr(0x4000_0000))],
+            },
+        )
+    }
+
+    fn honest(slot: u64) -> ThreadSpec {
+        ThreadSpec::new(
+            format!("honest-{slot}"),
+            LoopStream::new(vec![Op::Write(Addr(0x4000_0100 + 64 * slot))], 4),
+        )
+    }
+
+    /// Lints `program` and asserts the liar's record: one stray write.
+    fn assert_liar_flagged(program: Program, phase: usize) {
+        let diagnostics = lint_workload(program, &AddressSpace::new());
+        assert_eq!(
+            diagnostics,
+            vec![LintDiagnostic::FootprintViolations(FootprintViolation {
+                phase,
+                thread: "liar".to_string(),
+                count: 1,
+                first: (Addr(0x4000_1000), AccessKind::Write),
+            })]
         );
+    }
+
+    #[test]
+    fn under_declared_parallel_footprint_flagged() {
+        let program = ProgramBuilder::new("liar")
+            .parallel(vec![liar(), honest(0)])
+            .build();
+        assert_liar_flagged(program, 0);
+    }
+
+    #[test]
+    fn under_declared_serial_footprint_flagged() {
+        let program = ProgramBuilder::new("serial-liar")
+            .parallel(vec![honest(0), honest(1)])
+            .serial(liar())
+            .build();
+        assert_liar_flagged(program, 1);
+    }
+
+    #[test]
+    fn liar_among_more_workers_than_cores_flagged() {
+        // 50 workers on the default 48 cores: more workers than cores.
+        let mut workers: Vec<ThreadSpec> = (0..49).map(honest).collect();
+        workers.push(liar());
+        let program = ProgramBuilder::new("crowded-liar")
+            .parallel(workers)
+            .build();
+        assert_liar_flagged(program, 0);
     }
 }

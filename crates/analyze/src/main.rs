@@ -4,9 +4,10 @@
 //!
 //! * default — print the ranked static report for every registry workload
 //!   (or the ones named on the command line);
-//! * `--lint` — run the declaration lints (static + execution) over the
-//!   workloads and exit non-zero if any diagnostic fires; this is the CI
-//!   gate;
+//! * `--lint` — run the declaration lints (static declarations plus the
+//!   byte-granular footprint audit; nothing is simulated) over each
+//!   workload's broken and fixed builds and exit non-zero if any
+//!   diagnostic fires; this is the CI gate;
 //! * `--prefilter-report` — profile each workload twice, with and without
 //!   the statically-derived line pre-filter, and report the detector
 //!   table-size reduction (also published as `analyze.*` gauges).
@@ -115,18 +116,20 @@ fn run_report(options: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--lint`: declaration diagnostics over the workloads; non-zero exit if
-/// any fire.
+/// `--lint`: declaration diagnostics over each workload's broken and
+/// fixed builds; non-zero exit if any fire.
 fn run_lint(options: &Options) -> ExitCode {
     let config = app_config(options);
     let mut total = 0usize;
     for app in &options.apps {
-        let (program, space) = app.build(&config).into_parts();
-        let diagnostics = lint_workload(program, &space);
-        for diagnostic in &diagnostics {
-            println!("{}: {diagnostic}", app.name());
+        for (build, config) in [("", config.clone()), (" (fixed)", config.clone().fixed())] {
+            let (program, space) = app.build(&config).into_parts();
+            let diagnostics = lint_workload(program, &space);
+            for diagnostic in &diagnostics {
+                println!("{}{build}: {diagnostic}", app.name());
+            }
+            total += diagnostics.len();
         }
-        total += diagnostics.len();
     }
     if total == 0 {
         println!(

@@ -1,8 +1,11 @@
 //! The registry must lint clean: every shipped workload's declarations
 //! (footprints, object extents, worker names) are exactly what the
-//! static analysis and the sharded executor assume. CI additionally runs
-//! `cheetah-analyze --lint` at full scale; this covers the same property
-//! in-tree at test scale.
+//! static analysis and the simulator assume, and every access of every
+//! serial and parallel stream lies inside its declared footprint (writes
+//! inside a `wrote` extent). CI additionally runs `cheetah-analyze --lint`
+//! at full scale over broken and fixed builds; this covers the same
+//! property in-tree at test scale; `footprint_audit.rs` repeats the
+//! footprint half over randomized seeds and checks it against a sharded run.
 
 use cheetah_analyze::lint_workload;
 use cheetah_workloads::{AppConfig, APPS};

@@ -11,7 +11,7 @@
 
 use cheetah_analyze::{soundness_violations, summarize, StaticSummary};
 use cheetah_core::{CheetahConfig, CheetahProfiler, Profile};
-use cheetah_repair::{repair_program, synthesize, RepairPlan};
+use cheetah_repair::{apply_iterations, synthesize, RepairPlan};
 use cheetah_sim::{Machine, MachineConfig, Program};
 use cheetah_workloads::{repair_targets, App, AppConfig, APPS};
 use proptest::prelude::*;
@@ -99,12 +99,12 @@ fn soundness_holds_on_post_repair_layouts() {
         // translated through the layout map.
         let (program, mut space) = app.build(&config).into_parts();
         let repaired =
-            repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
+            apply_iterations(program, std::slice::from_ref(&plan), &mut space).expect("repair");
         let summary = summarize(&repaired, 64);
         // Re-profile an identically repaired third build.
         let (program, mut space) = app.build(&config).into_parts();
         let repaired =
-            repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
+            apply_iterations(program, std::slice::from_ref(&plan), &mut space).expect("repair");
         let profile = profile_of(repaired, &space);
         let violations = soundness_violations(&summary, &profile);
         assert!(

@@ -8,7 +8,7 @@
 
 use cheetah_analyze::{soundness_violations, summarize, StaticSummary};
 use cheetah_core::{CheetahConfig, CheetahProfiler, Profile};
-use cheetah_repair::{repair_program, synthesize, RepairPlan};
+use cheetah_repair::{apply_iterations, synthesize, RepairPlan};
 use cheetah_sim::{Machine, MachineConfig, Program, SchedulePolicy};
 use cheetah_workloads::{find, repair_targets, App, AppConfig, APPS};
 use proptest::prelude::*;
@@ -90,12 +90,12 @@ proptest! {
         if let Some(plan) = plan {
             let (program, mut space) = app.build(&config).into_parts();
             let repaired =
-                repair_program(program, std::slice::from_ref(&plan), &mut space)
+                apply_iterations(program, std::slice::from_ref(&plan), &mut space)
                     .expect("repair");
             let summary = summarize(&repaired, 64);
             let (program, mut space) = app.build(&config).into_parts();
             let repaired =
-                repair_program(program, std::slice::from_ref(&plan), &mut space)
+                apply_iterations(program, std::slice::from_ref(&plan), &mut space)
                     .expect("repair");
             let profile = profile_under(repaired, &space, policy);
             let violations = soundness_violations(&summary, &profile);
@@ -129,11 +129,11 @@ fn hidden_instance_is_statically_anticipated() {
         .expect("the perturbed profile must yield a repairable instance");
     let (program, mut space) = app.build(&config).into_parts();
     let repaired =
-        repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
+        apply_iterations(program, std::slice::from_ref(&plan), &mut space).expect("repair");
     let summary = summarize(&repaired, 64);
     let (program, mut space) = app.build(&config).into_parts();
     let repaired =
-        repair_program(program, std::slice::from_ref(&plan), &mut space).expect("repair");
+        apply_iterations(program, std::slice::from_ref(&plan), &mut space).expect("repair");
     let profile = profile_under(repaired, &space, policy);
     let violations = soundness_violations(&summary, &profile);
     assert!(violations.is_empty(), "post-repair: {violations:#?}");

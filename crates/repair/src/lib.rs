@@ -17,6 +17,8 @@
 //!    then redirects the program's memory accesses through it. Op streams,
 //!    op counts and the fork-join phase structure are preserved exactly —
 //!    the repaired program is the same program with a better data layout.
+//!    [`apply_iterations`] applies any sequence of plans, one profile's or
+//!    successive iterations', by chaining their maps in order.
 //! 3. **Convergence and validation** ([`converge`](mod@converge)): the
 //!    fixpoint loop a programmer would run by hand — profile, apply the
 //!    top-ranked fix, re-profile the repaired program, repeat until no
@@ -76,4 +78,4 @@ pub use converge::{
     ValidationHarness,
 };
 pub use plan::{rank, synthesize, RepairPlan, RepairStrategy, ThreadCluster};
-pub use rewrite::{apply, apply_iterations, repair_program, RepairError};
+pub use rewrite::{apply, apply_iterations, RepairError};

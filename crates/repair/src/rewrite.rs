@@ -9,6 +9,9 @@
 //! 2. [`cheetah_sim::Program::with_layout`] rewrites the program's memory
 //!    operations through that map.
 //!
+//! [`apply_iterations`] applies several plans, one profile's or successive
+//! iterations', by running both steps per plan in order.
+//!
 //! The rewritten program executes the **same op stream** — identical op
 //! counts, identical compute, identical fork-join phase graph — against
 //! the repaired layout, which is exactly the counterfactual Cheetah's
@@ -27,8 +30,8 @@ use std::fmt;
 pub enum RepairError {
     /// Target storage could not be allocated.
     Heap(HeapError),
-    /// The synthesized remappings were inconsistent (overlapping ranges) —
-    /// indicates conflicting plans applied to one space.
+    /// The plan's synthesized remappings were inconsistent (overlapping
+    /// source ranges).
     Layout(LayoutError),
     /// The plan references a heap object the given space does not know.
     UnknownObject(ObjectId),
@@ -138,35 +141,18 @@ pub fn apply(plan: &RepairPlan, space: &mut AddressSpace) -> Result<LayoutMap, R
     }
 }
 
-/// Applies several plans to one space and rewrites `program` through the
-/// merged transformation.
+/// Applies plans to one space in order, rewriting `program` through each
+/// resulting map in turn.
 ///
-/// # Errors
-///
-/// [`RepairError`] if any plan fails to apply or two plans conflict.
-pub fn repair_program(
-    program: Program,
-    plans: &[RepairPlan],
-    space: &mut AddressSpace,
-) -> Result<Program, RepairError> {
-    let mut merged = LayoutMap::identity();
-    for plan in plans {
-        let map = apply(plan, space)?;
-        merged = merged.merge(&map)?;
-    }
-    Ok(program.with_layout(merged.shared()))
-}
-
-/// Applies plans from *successive repair iterations* to one space,
-/// rewriting `program` through each resulting map in order.
-///
-/// Unlike [`repair_program`] — which merges the plans of one profile into a
-/// single disjoint map — this composes the maps: plan `k` was synthesized
-/// from a profile of the program *after* plans `1..k` were applied, so its
-/// source addresses refer to the already-rewritten layout (possibly even to
-/// storage an earlier fix allocated). Because workload builds and heap
-/// allocation are deterministic, replaying the plans in synthesis order
-/// against a fresh space reproduces the exact addresses each plan saw.
+/// The maps compose: when plan `k` was synthesized from a profile of the
+/// program *after* plans `1..k` were applied, its source addresses refer
+/// to the already-rewritten layout (possibly even to storage an earlier
+/// fix allocated). Because workload builds and heap allocation are
+/// deterministic, replaying the plans in synthesis order against a fresh
+/// space reproduces the exact addresses each plan saw. Plans synthesized
+/// from one profile relocate distinct objects into fresh storage, so
+/// chaining their maps translates every address as one combined map
+/// would.
 ///
 /// # Errors
 ///

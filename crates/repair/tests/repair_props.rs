@@ -8,7 +8,7 @@
 
 use cheetah_core::{CheetahConfig, CheetahProfiler};
 use cheetah_heap::{AddressSpace, CallStack};
-use cheetah_repair::{repair_program, synthesize, RepairPlan};
+use cheetah_repair::{apply_iterations, synthesize, RepairPlan};
 use cheetah_sim::{
     AccessRecord, CacheLineId, CountingObserver, Cycles, ExecObserver, LoopStream, Machine,
     MachineConfig, NullObserver, Op, PhaseKind, Program, ProgramBuilder, ThreadId, ThreadSpec,
@@ -124,7 +124,7 @@ proptest! {
 
         let (space, program) = build_once();
         let mut space = space;
-        let repaired_program = repair_program(program, &plans, &mut space).unwrap();
+        let repaired_program = apply_iterations(program, &plans, &mut space).unwrap();
         let mut repaired_counts = CountingObserver::default();
         let repaired = machine.run(repaired_program, &mut repaired_counts);
 
@@ -171,7 +171,7 @@ proptest! {
 
         let (space, program) = build_once();
         let mut space = space;
-        let repaired_program = repair_program(program, &plans, &mut space).unwrap();
+        let repaired_program = apply_iterations(program, &plans, &mut space).unwrap();
         let mut repaired_audit = WriterAudit::default();
         machine.run(repaired_program, &mut repaired_audit);
         prop_assert_eq!(
@@ -194,7 +194,7 @@ proptest! {
         let run = || {
             let (space, program) = build_once();
             let mut space = space;
-            let repaired_program = repair_program(program, &plans, &mut space).unwrap();
+            let repaired_program = apply_iterations(program, &plans, &mut space).unwrap();
             machine.run(repaired_program, &mut NullObserver)
         };
         prop_assert_eq!(run(), run());

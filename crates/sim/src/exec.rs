@@ -76,14 +76,6 @@ pub struct MachineConfig {
     /// whole directory each phase, and the hash is diagnostic, never part
     /// of [`RunReport`].
     pub witness: bool,
-    /// When `true`, every thread's stream is wrapped in a byte-granular
-    /// footprint auditor: each executed memory access is checked against
-    /// the stream's declared [`crate::Footprint`] (reads must lie inside
-    /// some extent, writes inside a `wrote` extent). A violating access
-    /// bumps [`crate::metrics::FOOTPRINT_VIOLATIONS`] and, in debug
-    /// builds, aborts with the thread name and offending address. Off by
-    /// default: the check costs a binary search per access.
-    pub audit_footprints: bool,
     /// How parallel phases order the sharded merge's residue events.
     /// [`SchedulePolicy::Observed`] (the default) replays the observed
     /// timestamp order — bit-identical to the classic loop at every shard
@@ -106,7 +98,6 @@ impl Default for MachineConfig {
             shards: 1,
             obs: ObsHandle::default(),
             witness: false,
-            audit_footprints: false,
             schedule: SchedulePolicy::Observed,
         }
     }
@@ -140,14 +131,6 @@ impl MachineConfig {
     /// ([`ObsHandle::fresh`]) so the hashes are actually recorded.
     pub fn with_witness(mut self, witness: bool) -> Self {
         self.witness = witness;
-        self
-    }
-
-    /// Returns the configuration with footprint auditing enabled or
-    /// disabled (builder style); see
-    /// [`audit_footprints`](MachineConfig::audit_footprints).
-    pub fn with_footprint_audit(mut self, audit: bool) -> Self {
-        self.audit_footprints = audit;
         self
     }
 
@@ -321,73 +304,6 @@ pub(crate) struct MainCursor {
     judged: Option<u64>,
 }
 
-/// Byte-granular footprint auditor
-/// ([`MachineConfig::audit_footprints`]): forwards the wrapped stream's
-/// ops, checking every memory access against the stream's declared
-/// footprint. Reads must land inside some extent; writes inside an extent
-/// declared `wrote`. Streams with [`Footprint::Unknown`] declare nothing,
-/// so nothing is audited.
-struct AuditStream {
-    thread_name: String,
-    inner: Box<dyn AccessStream>,
-    /// Normalized extents of the declared footprint; `None` = `Unknown`.
-    extents: Option<Vec<crate::footprint::ByteExtent>>,
-    violations: cheetah_obs::Counter,
-}
-
-impl AuditStream {
-    fn wrap(
-        thread_name: &str,
-        inner: Box<dyn AccessStream>,
-        violations: cheetah_obs::Counter,
-    ) -> Box<dyn AccessStream> {
-        let extents = match inner.footprint() {
-            crate::Footprint::Bounded(extents) => Some(extents),
-            crate::Footprint::Unknown => None,
-        };
-        Box::new(AuditStream {
-            thread_name: thread_name.to_string(),
-            inner,
-            extents,
-            violations,
-        })
-    }
-}
-
-impl AccessStream for AuditStream {
-    fn next_op(&mut self) -> Option<Op> {
-        let op = self.inner.next_op()?;
-        if let (Some((addr, kind)), Some(extents)) = (op.mem_ref(), self.extents.as_deref()) {
-            // Normalized extents are sorted and byte-disjoint: the only
-            // candidate is the first extent ending past the address.
-            let idx = extents.partition_point(|e| e.end <= addr.0);
-            let covered = extents
-                .get(idx)
-                .is_some_and(|e| e.start <= addr.0 && (kind != AccessKind::Write || e.wrote));
-            if !covered {
-                self.violations.add(1);
-                debug_assert!(
-                    false,
-                    "footprint audit: thread '{}' {} {:#x} outside its declared \
-                     footprint — the stream's Footprint::Bounded under-approximates \
-                     its accesses",
-                    self.thread_name,
-                    match kind {
-                        AccessKind::Read => "reads",
-                        AccessKind::Write => "writes",
-                    },
-                    addr.0
-                );
-            }
-        }
-        Some(op)
-    }
-
-    fn footprint(&self) -> crate::Footprint {
-        self.inner.footprint()
-    }
-}
-
 /// Per-thread execution state.
 pub(crate) struct ThreadCtx {
     pub(crate) id: ThreadId,
@@ -537,12 +453,7 @@ impl<'a> Execution<'a> {
             self.observer.on_phase_start(index, kind, phase_start);
             match phase {
                 Phase::Serial(spec) => {
-                    let (name, stream) = spec.into_parts();
-                    main.stream = if self.config.audit_footprints {
-                        AuditStream::wrap(&name, stream, self.counters.violations_handle())
-                    } else {
-                        stream
-                    };
+                    main.stream = spec.into_parts().1;
                     crate::shard::run_serial(
                         self.config,
                         &mut self.directory,
@@ -562,11 +473,6 @@ impl<'a> Execution<'a> {
                     let mut workers = Vec::with_capacity(specs.len());
                     for (slot, spec) in specs.into_iter().enumerate() {
                         let (name, stream) = spec.into_parts();
-                        let stream = if self.config.audit_footprints {
-                            AuditStream::wrap(&name, stream, self.counters.violations_handle())
-                        } else {
-                            stream
-                        };
                         let id = ThreadId(next_tid);
                         next_tid += 1;
                         // pthread_create runs on the main thread.

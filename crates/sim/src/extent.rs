@@ -6,9 +6,8 @@
 //! number of distinct lines — ruinous for streaming phases that touch tens
 //! of thousands of one-shot private lines — so this module classifies
 //! whole **extents**: each worker contributes a sorted list of
-//! [`LineExtent`]s (from its stream's declared [`crate::footprint`] or, as
-//! a fallback, coalesced from its materialised touch set), and a single
-//! boundary sweep over all workers' extents produces the phase's
+//! [`LineExtent`]s (from its stream's declared [`crate::footprint`]), and
+//! a single boundary sweep over all workers' extents produces the phase's
 //! [`ClassExtent`] table. Classification cost is proportional to the
 //! number of *extents moved*, not lines touched — the cache-conscious
 //! batching argument, applied to the simulator's own bookkeeping.
@@ -242,27 +241,6 @@ pub(crate) fn byte_to_line_extents(extents: &[ByteExtent], line_size: u64) -> Ve
     out
 }
 
-/// Coalesces one worker's exact per-line touch map (the materialisation
-/// fallback for streams without a declared footprint) into sorted extents.
-/// Adjacent lines merge only when their write flags agree, keeping the
-/// read/write boundary exact.
-pub(crate) fn extents_from_touched(touched: &FastMap<CacheLineId, bool>) -> Vec<LineExtent> {
-    let mut lines: Vec<(u64, bool)> = touched.iter().map(|(l, &w)| (l.0, w)).collect();
-    lines.sort_unstable();
-    let mut extents: Vec<LineExtent> = Vec::new();
-    for (line, wrote) in lines {
-        match extents.last_mut() {
-            Some(last) if last.end == line && last.wrote == wrote => last.end = line + 1,
-            _ => extents.push(LineExtent {
-                start: line,
-                end: line + 1,
-                wrote,
-            }),
-        }
-    }
-    extents
-}
-
 /// A sorted list of disjoint line-id ranges with cheap coalescing inserts;
 /// the accumulator behind extent-granular directory write-back.
 ///
@@ -456,17 +434,6 @@ mod tests {
         assert_eq!(table.extents.len(), 2);
         assert!(matches!(table.extents[0].class, ExtClass::Private(0)));
         assert!(matches!(table.extents[1].class, ExtClass::Private(1)));
-    }
-
-    #[test]
-    fn extents_from_touched_coalesces_runs() {
-        let mut touched: FastMap<CacheLineId, bool> = FastMap::default();
-        for l in 0..100u64 {
-            touched.insert(CacheLineId(l), false);
-        }
-        touched.insert(CacheLineId(200), true);
-        let extents = extents_from_touched(&touched);
-        assert_eq!(extents, vec![ext(0, 100, false), ext(200, 201, true)]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! are tiny state machines over a few contiguous slices (a per-thread input
 //! window, a scratch block, a shared table), so they can *declare* their
 //! footprint as a handful of [`ByteExtent`]s up front; the executor then
-//! classifies whole extents at once and skips the materialisation pass
-//! entirely (see [`crate::shard`]).
+//! classifies whole extents at once without draining anything (see
+//! [`crate::shard`]).
 //!
 //! ## Soundness contract
 //!
@@ -26,11 +26,13 @@
 //! footprint is never private to it; the sharded executor also counts them
 //! in `sim.footprint_violations`). But a worker whose declared-private line
 //! a violator touches may simulate that line ahead of the violator: the
-//! run stays deterministic, no longer in strict time order. Audit mode
-//! ([`crate::MachineConfig::audit_footprints`]) checks every access, and
-//! `cheetah-analyze --lint` gates zero violations registry-wide.
+//! run stays deterministic, no longer in strict time order. [`audit`]
+//! checks the contract byte by byte, serial phases included, without
+//! simulating, and `cheetah-analyze --lint` gates zero violations
+//! registry-wide.
 
-use crate::types::Addr;
+use crate::program::{Phase, Program};
+use crate::types::{AccessKind, Addr};
 
 /// One contiguous byte range of a footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +65,8 @@ impl ByteExtent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Footprint {
     /// The stream cannot (or does not) bound its accesses; the sharded
-    /// executor falls back to materialising the stream and classifying its
-    /// touched lines one by one.
+    /// executor drains it into an [`crate::OpsStream`], whose footprint is
+    /// exact, before classifying.
     Unknown,
     /// A sorted, disjoint superset of every byte the stream may touch (see
     /// the module-level soundness contract).
@@ -145,6 +147,70 @@ impl FootprintBuilder {
         }
         Footprint::Bounded(merged)
     }
+}
+
+/// One thread whose executed accesses escaped its declared footprint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FootprintViolation {
+    /// Index of the phase the thread runs in.
+    pub phase: usize,
+    /// The thread's declared name.
+    pub thread: String,
+    /// Accesses outside the footprint: reads outside every extent, writes
+    /// outside every `wrote` extent.
+    pub count: u64,
+    /// The first such access.
+    pub first: (Addr, AccessKind),
+}
+
+/// Checks every serial and parallel stream of `program` against its
+/// declared footprint, byte by byte, and returns one record per violating
+/// thread in program order. Nothing is simulated: ops never depend on
+/// timing, so draining each stream on its own yields exactly the accesses
+/// a run executes. Streams declaring [`Footprint::Unknown`] claim nothing
+/// and are skipped.
+///
+/// Consumes the program (streams are single-use).
+pub fn audit(program: Program) -> Vec<FootprintViolation> {
+    let (_, phases) = program.into_parts();
+    let mut out = Vec::new();
+    for (index, phase) in phases.into_iter().enumerate() {
+        let specs = match phase {
+            Phase::Serial(spec) => vec![spec],
+            Phase::Parallel(specs) => specs,
+        };
+        for spec in specs {
+            let (thread, mut stream) = spec.into_parts();
+            let Footprint::Bounded(extents) = stream.footprint() else {
+                continue;
+            };
+            let mut count = 0u64;
+            let mut first = None;
+            while let Some(op) = stream.next_op() {
+                let Some((addr, kind)) = op.mem_ref() else {
+                    continue;
+                };
+                // Normalised extents are sorted and byte-disjoint: the only
+                // candidate is the first extent ending past the address.
+                let covered = extents
+                    .get(extents.partition_point(|e| e.end <= addr.0))
+                    .is_some_and(|e| e.start <= addr.0 && (e.wrote || !kind.is_write()));
+                if !covered {
+                    count += 1;
+                    first.get_or_insert((addr, kind));
+                }
+            }
+            if let Some(first) = first {
+                out.push(FootprintViolation {
+                    phase: index,
+                    thread,
+                    count,
+                    first,
+                });
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

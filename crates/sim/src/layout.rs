@@ -289,18 +289,6 @@ impl LayoutMap {
         pieces
     }
 
-    /// Merges two maps whose rules must remain disjoint (e.g. the plans of
-    /// two different sharing instances).
-    ///
-    /// # Errors
-    ///
-    /// [`LayoutError`] under the same conditions as [`LayoutMap::new`].
-    pub fn merge(&self, other: &LayoutMap) -> Result<LayoutMap, LayoutError> {
-        let mut rules = self.rules.clone();
-        rules.extend_from_slice(&other.rules);
-        LayoutMap::new(rules)
-    }
-
     /// Wraps the map for sharing across the per-thread streams of a
     /// rewritten program.
     pub fn shared(self) -> Arc<LayoutMap> {
@@ -374,16 +362,6 @@ mod tests {
         .unwrap();
         assert_eq!(swap.translate(Addr(0x104)), Addr(0x204));
         assert_eq!(swap.translate(Addr(0x204)), Addr(0x104));
-    }
-
-    #[test]
-    fn merge_combines_disjoint_maps() {
-        let a = LayoutMap::new(vec![Remapping::new(Addr(0x100), 8, Addr(0x1000))]).unwrap();
-        let b = LayoutMap::new(vec![Remapping::new(Addr(0x200), 8, Addr(0x2000))]).unwrap();
-        let merged = a.merge(&b).unwrap();
-        assert_eq!(merged.translate(Addr(0x100)), Addr(0x1000));
-        assert_eq!(merged.translate(Addr(0x200)), Addr(0x2000));
-        assert!(a.merge(&a).is_err(), "duplicate sources must be rejected");
     }
 
     #[test]

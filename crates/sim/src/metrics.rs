@@ -49,12 +49,14 @@ pub const CLASSIFY_NS: &str = "sim.classify_ns";
 pub const PRECOMPUTE_NS: &str = "sim.precompute_ns";
 /// Counter name for sharded merge-pass wall nanoseconds.
 pub const MERGE_NS: &str = "sim.merge_ns";
-/// Counter name for footprint contract violations: accesses a sharded
-/// phase classified outside every declared extent (or against the declared
-/// owner/write mode). Each one falls back to the fully-ordered directory
-/// path, so reports stay correct — but a non-zero count means some
-/// stream's [`Footprint::Bounded`](crate::Footprint) under-approximated
-/// its accesses and `cheetah-analyze --lint` will flag the workload.
+/// Counter name for the sharded engine's runtime footprint demotions:
+/// accesses a sharded parallel phase classified outside every declared
+/// extent (or against the declared owner/write mode). Each one falls back
+/// to the fully-ordered directory path, so reports stay correct — but a
+/// non-zero count means some stream's
+/// [`Footprint::Bounded`](crate::Footprint) under-approximated its
+/// accesses. The static check is [`crate::footprint::audit`], which
+/// `cheetah-analyze --lint` runs over every phase, serial ones included.
 pub const FOOTPRINT_VIOLATIONS: &str = "sim.footprint_violations";
 /// Counter name for schedule-policy selections: residue events ordered by
 /// a perturbed [`SchedulePolicy`](crate::SchedulePolicy) instead of the
@@ -155,11 +157,5 @@ impl SimCounters {
     #[inline]
     pub(crate) fn count_resumed(&self, n: u64) {
         self.resumed.add(n);
-    }
-
-    /// A clone of the violations counter handle, for the footprint
-    /// auditor's per-stream wrappers.
-    pub(crate) fn violations_handle(&self) -> Counter {
-        self.violations.clone()
     }
 }

@@ -56,7 +56,8 @@ pub trait AccessStream: Send {
     /// by the sharded executor *before* the first [`AccessStream::next_op`]
     /// call (see [`crate::footprint`] for the soundness contract). Streams
     /// that cannot bound their accesses keep the default
-    /// [`Footprint::Unknown`] and are classified per touched line instead.
+    /// [`Footprint::Unknown`]; the sharded executor drains them into an
+    /// [`OpsStream`], whose footprint is exact, before classifying.
     fn footprint(&self) -> Footprint {
         Footprint::Unknown
     }

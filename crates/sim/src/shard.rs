@@ -40,10 +40,10 @@
 //! (`extent::ClassTable`), and the per-access hot loop resolves a
 //! line's class with a range comparison against the two most recently
 //! used extents (a private stream interleaved with one shared object stays
-//! cached). Streams without a declared footprint fall back to
-//! materialisation, and their touched lines enter the sweep as coalesced
-//! one-line extents — interleaved footprints degrade to exactly that
-//! per-line behaviour, never to an incorrect classification.
+//! cached). A stream without a declared footprint is drained once into an
+//! [`OpsStream`], whose footprint is exact, so the sweep only ever sees
+//! bounded footprints; interleaved footprints degrade to per-line
+//! extents, never to an incorrect classification.
 //!
 //! ## Write-private folding
 //!
@@ -131,8 +131,7 @@
 use crate::coherence::{prefetchable, transition, Directory, LineState};
 use crate::exec::{MachineConfig, ThreadCtx, OBS_LANE_ENGINE};
 use crate::extent::{
-    byte_to_line_extents, extents_from_touched, ClassCursor, ClassTable, ExtClass, LineExtent,
-    RangeList,
+    byte_to_line_extents, ClassCursor, ClassTable, ExtClass, LineExtent, RangeList,
 };
 use crate::footprint::Footprint;
 use crate::latency::{AccessOutcome, LatencyModel};
@@ -256,82 +255,43 @@ impl EventLog {
     }
 }
 
-/// One materialised memory access: `work_before` compute instructions since
-/// the previous access, then the access itself.
-struct MatAccess {
+/// One memory access: `work_before` compute instructions since the
+/// previous access, then the access itself.
+struct FeedAccess {
     work_before: u64,
     addr: Addr,
     write: bool,
 }
 
-/// Materialisation output of one worker stream (the fallback for streams
-/// without a declared footprint).
-struct Mat {
-    accesses: Vec<MatAccess>,
-    /// Compute instructions after the last access.
-    trailing_work: u64,
-    /// Lines this worker touches, with a "did it write" flag.
-    touched: FastMap<CacheLineId, bool>,
-}
-
-/// Feeds accesses to the precompute pass: either a live stream (footprint
-/// known in advance, no materialisation) or a materialised trace
-/// (fallback).
-enum OpFeed {
-    Stream {
-        stream: Box<dyn AccessStream>,
-        trailing: u64,
-    },
-    Mat(Mat, usize),
+/// Feeds a worker's stream to the precompute pass one access at a time.
+struct OpFeed {
+    stream: Box<dyn AccessStream>,
+    /// Compute instructions after the last access (valid once exhausted).
+    trailing: u64,
 }
 
 impl OpFeed {
     /// Next access, folding compute ops into `work_before`.
-    fn next_access(&mut self) -> Option<MatAccess> {
-        match self {
-            OpFeed::Stream { stream, trailing } => {
-                let mut work = 0u64;
-                loop {
-                    match stream.next_op() {
-                        Some(Op::Work(n)) => work += n,
-                        Some(Op::Read(addr)) => {
-                            return Some(MatAccess {
-                                work_before: work,
-                                addr,
-                                write: false,
-                            })
-                        }
-                        Some(Op::Write(addr)) => {
-                            return Some(MatAccess {
-                                work_before: work,
-                                addr,
-                                write: true,
-                            })
-                        }
-                        None => {
-                            *trailing = work;
-                            return None;
-                        }
-                    }
+    fn next_access(&mut self) -> Option<FeedAccess> {
+        let mut work = 0u64;
+        loop {
+            let (addr, write) = match self.stream.next_op() {
+                Some(Op::Work(n)) => {
+                    work += n;
+                    continue;
                 }
-            }
-            OpFeed::Mat(mat, cursor) => {
-                let access = mat.accesses.get(*cursor)?;
-                *cursor += 1;
-                Some(MatAccess {
-                    work_before: access.work_before,
-                    addr: access.addr,
-                    write: access.write,
-                })
-            }
-        }
-    }
-
-    /// Compute instructions after the last access (valid once exhausted).
-    fn trailing_work(&self) -> u64 {
-        match self {
-            OpFeed::Stream { trailing, .. } => *trailing,
-            OpFeed::Mat(mat, _) => mat.trailing_work,
+                Some(Op::Read(addr)) => (addr, false),
+                Some(Op::Write(addr)) => (addr, true),
+                None => {
+                    self.trailing = work;
+                    return None;
+                }
+            };
+            return Some(FeedAccess {
+                work_before: work,
+                addr,
+                write,
+            });
         }
     }
 }
@@ -768,42 +728,29 @@ pub(crate) fn run_parallel_sharded(
         .map(|w| ForkJudge::fork(observer, w.id, w.judged))
         .collect();
 
-    // Pass 1a: footprints. Streams that declare one skip materialisation
-    // entirely; the rest are drained into a trace whose touched lines
-    // coalesce into exact extents.
-    let streams: Vec<Box<dyn AccessStream>> = workers
+    // Pass 1a: footprints, one per stream. A stream that declares none is
+    // drained once into an `OpsStream`, whose footprint is exact.
+    let (feeds, per_worker_extents): (Vec<OpFeed>, Vec<Vec<LineExtent>>) = workers
         .iter_mut()
-        .map(|w| std::mem::replace(&mut w.stream, Box::new(OpsStream::new(Vec::new()))))
-        .collect();
-    let footprints: Vec<Footprint> = streams.iter().map(|s| s.footprint()).collect();
-    // Only materialisation is work worth a host thread; wrapping a bounded
-    // stream is not.
-    let materialising = footprints
-        .iter()
-        .filter(|f| matches!(f, Footprint::Unknown))
-        .count();
-    let feeds: Vec<OpFeed> = parallel_map(
-        streams.into_iter().zip(&footprints).collect(),
-        if materialising > 1 { shards } else { 1 },
-        &|_slot, (stream, footprint)| match footprint {
-            Footprint::Bounded(_) => OpFeed::Stream {
-                stream,
-                trailing: 0,
-            },
-            Footprint::Unknown => OpFeed::Mat(materialize(stream, line_size), 0),
-        },
-    );
-    let per_worker_extents: Vec<Vec<LineExtent>> = feeds
-        .iter()
-        .zip(&footprints)
-        .map(|(feed, footprint)| match (feed, footprint) {
-            (_, Footprint::Bounded(extents)) => byte_to_line_extents(extents, line_size),
-            (OpFeed::Mat(mat, _), _) => extents_from_touched(&mat.touched),
-            (OpFeed::Stream { .. }, Footprint::Unknown) => {
-                unreachable!("unhinted stream materialised")
+        .map(|w| {
+            let mut stream = std::mem::replace(&mut w.stream, Box::new(OpsStream::new(Vec::new())));
+            loop {
+                match stream.footprint() {
+                    Footprint::Bounded(extents) => {
+                        let feed = OpFeed {
+                            stream,
+                            trailing: 0,
+                        };
+                        return (feed, byte_to_line_extents(&extents, line_size));
+                    }
+                    Footprint::Unknown => {
+                        let ops = std::iter::from_fn(|| stream.next_op()).collect();
+                        stream = Box::new(OpsStream::new(ops));
+                    }
+                }
             }
         })
-        .collect();
+        .unzip();
     let table = ClassTable::build(&per_worker_extents);
     let t_class = t0.elapsed();
     span_classify.finish();
@@ -900,45 +847,6 @@ pub(crate) fn run_parallel_sharded(
     ends
 }
 
-/// Drains a stream into a compact access vector and records which lines it
-/// touches.
-///
-/// A small direct-mapped cache of recently seen lines keeps the hot loop
-/// out of the hash map: workload inner loops cycle over a handful of lines,
-/// so nearly every access hits the cache.
-fn materialize(mut stream: Box<dyn AccessStream>, line_size: u64) -> Mat {
-    const CACHE_WAYS: usize = 8;
-    let mut accesses = Vec::new();
-    let mut work: u64 = 0;
-    let mut touched: FastMap<CacheLineId, bool> = FastMap::default();
-    let mut cache: [(CacheLineId, bool); CACHE_WAYS] = [(NO_LINE, false); CACHE_WAYS];
-    while let Some(op) = stream.next_op() {
-        match op {
-            Op::Work(n) => work += n,
-            Op::Read(addr) | Op::Write(addr) => {
-                let write = matches!(op, Op::Write(_));
-                let line = addr.line(line_size);
-                let way = &mut cache[(line.0 as usize) & (CACHE_WAYS - 1)];
-                if way.0 != line || (write && !way.1) {
-                    let entry = touched.entry(line).or_insert(false);
-                    *entry |= write;
-                    *way = (line, *entry);
-                }
-                accesses.push(MatAccess {
-                    work_before: std::mem::take(&mut work),
-                    addr,
-                    write,
-                });
-            }
-        }
-    }
-    Mat {
-        accesses,
-        trailing_work: work,
-        touched,
-    }
-}
-
 /// Replays one worker's accesses locally: simulates private lines, judges
 /// every access through the sampling replica, and folds everything that
 /// needs no global time into event leads.
@@ -1030,7 +938,7 @@ fn precompute_worker(
     }
 
     while let Some(access) = feed.next_access() {
-        let MatAccess {
+        let FeedAccess {
             work_before,
             addr,
             write,
@@ -1164,8 +1072,8 @@ fn precompute_worker(
             }
         }
     }
-    instructions += feed.trailing_work();
-    lead += feed.trailing_work() * cpi;
+    instructions += feed.trailing;
+    lead += feed.trailing * cpi;
     flush_run!();
     events.push(Ev {
         lead,

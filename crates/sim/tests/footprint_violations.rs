@@ -1,21 +1,23 @@
 //! The footprint contract's two enforcement layers:
 //!
-//! * the **sharded executor's violation fallback** — an access outside
+//! * the **sharded executor's runtime demotion** — an access outside
 //!   every classified extent (or violating its extent's class) does not
 //!   panic: it is demoted to the fully-ordered write-shared path and
 //!   counted in `sim.footprint_violations`, keeping the run deterministic
 //!   and complete (the classic loop trusts footprints the same way, but
 //!   counts nothing);
-//! * the **audit mode** (`MachineConfig::with_footprint_audit`) — a
-//!   byte-granular check of every executed access against the declared
-//!   extents, counting into the same metric (and aborting in debug
-//!   builds).
+//! * the **static audit** (`footprint::audit`) — a byte-granular check of
+//!   every access of every serial and parallel stream against its
+//!   declared extents, one record per violating thread, with nothing
+//!   simulated.
 
+use cheetah_sim::footprint::{audit, FootprintViolation};
+use cheetah_sim::layout::{LayoutMap, Remapping};
 use cheetah_sim::metrics::FOOTPRINT_VIOLATIONS;
 use cheetah_sim::observer::NullObserver;
 use cheetah_sim::{
-    AccessStream, Addr, ByteExtent, Footprint, LoopStream, Machine, MachineConfig, ObsHandle, Op,
-    ProgramBuilder, ThreadSpec,
+    AccessKind, AccessStream, Addr, ByteExtent, Footprint, IterStream, LoopStream, Machine,
+    MachineConfig, ObsHandle, Op, Program, ProgramBuilder, ThreadSpec,
 };
 
 /// A stream that under-declares: claims one word, touches more.
@@ -106,8 +108,8 @@ fn every_return_to_an_undeclared_line_is_counted() {
 #[test]
 fn classic_loop_ignores_footprints_without_audit() {
     // The single-threaded loop reads footprints only to let workers run
-    // ahead and never checks accesses against them; without audit mode
-    // the same lying program runs violation-free.
+    // ahead and never checks accesses against them: the same lying
+    // program runs violation-free, and only the static audit flags it.
     let obs = ObsHandle::fresh_untraced();
     let machine = Machine::new(MachineConfig::default().with_obs(obs.clone()));
     machine.run(liar_program(), &mut NullObserver);
@@ -130,41 +132,27 @@ fn classic_loop_trusts_footprints_deterministically() {
     assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 0);
 }
 
-#[cfg(not(debug_assertions))]
-#[test]
-fn audit_counts_byte_granular_violations_in_release() {
-    let obs = ObsHandle::fresh_untraced();
-    let machine = Machine::new(
-        MachineConfig::default()
-            .with_footprint_audit(true)
-            .with_obs(obs.clone()),
-    );
-    machine.run(liar_program(), &mut NullObserver);
-    let violations = obs.counter(FOOTPRINT_VIOLATIONS).get();
-    assert_eq!(violations, 2, "exactly the two undeclared writes");
-}
-
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "footprint audit")]
-fn audit_aborts_in_debug_builds() {
-    let machine = Machine::new(
-        MachineConfig::default()
-            .with_footprint_audit(true)
-            .with_obs(ObsHandle::fresh_untraced()),
-    );
-    machine.run(liar_program(), &mut NullObserver);
+/// The liar's record: its two undeclared writes, the first (its stream
+/// pops from the back) at `first`.
+fn liar_record(phase: usize, first: Addr) -> FootprintViolation {
+    FootprintViolation {
+        phase,
+        thread: "liar".to_string(),
+        count: 2,
+        first: (first, AccessKind::Write),
+    }
 }
 
 #[test]
-fn audit_is_silent_on_honest_streams() {
-    let obs = ObsHandle::fresh_untraced();
-    let machine = Machine::new(
-        MachineConfig::default()
-            .with_footprint_audit(true)
-            .with_obs(obs.clone()),
+fn audit_records_the_liars_exact_violations() {
+    assert_eq!(
+        audit(liar_program()),
+        vec![liar_record(0, Addr(0x4000_0100))]
     );
-    let program = ProgramBuilder::new("honest")
+}
+
+fn honest_program() -> Program {
+    ProgramBuilder::new("honest")
         .serial(ThreadSpec::new(
             "init",
             LoopStream::new(vec![Op::Write(Addr(0x4000_0000))], 4),
@@ -176,7 +164,69 @@ fn audit_is_silent_on_honest_streams() {
             ),
             ThreadSpec::new("b", LoopStream::new(vec![Op::Write(Addr(0x4000_0040))], 16)),
         ])
+        .build()
+}
+
+#[test]
+fn audit_is_silent_on_honest_streams() {
+    assert_eq!(audit(honest_program()), Vec::new());
+}
+
+#[test]
+fn audit_checks_serial_phases() {
+    // A serial stream that declares its word read-only, then writes it.
+    let program = ProgramBuilder::new("serial")
+        .parallel(vec![ThreadSpec::new(
+            "worker",
+            LoopStream::new(vec![Op::Read(Addr(0x4000_0000))], 4),
+        )])
+        .serial(ThreadSpec::new(
+            "main",
+            Liar {
+                ops: vec![Op::Write(Addr(0x4000_0000)), Op::Read(Addr(0x4000_0000))],
+                claimed: vec![ByteExtent::word(Addr(0x4000_0000), false)],
+            },
+        ))
         .build();
-    machine.run(program, &mut NullObserver);
-    assert_eq!(obs.counter(FOOTPRINT_VIOLATIONS).get(), 0);
+    assert_eq!(
+        audit(program),
+        vec![FootprintViolation {
+            phase: 1,
+            thread: "main".to_string(),
+            count: 1,
+            first: (Addr(0x4000_0000), AccessKind::Write),
+        }]
+    );
+}
+
+#[test]
+fn audit_skips_unknown_streams() {
+    // An `IterStream` declares `Unknown`: it claims nothing, so nothing of
+    // it is checked, whatever it touches.
+    let program = ProgramBuilder::new("unknown")
+        .parallel(vec![ThreadSpec::new(
+            "opaque",
+            IterStream::new((0..8).map(|i| Op::Write(Addr(0x4000_0000 + 64 * i)))),
+        )])
+        .build();
+    assert_eq!(audit(program), Vec::new());
+}
+
+#[test]
+fn audit_checks_layout_rewritten_programs_against_translated_footprints() {
+    // Relocating the word both workers write: the honest worker's
+    // translated footprint covers its translated writes, and the liar's
+    // first stray write is reported at its new address.
+    let map = LayoutMap::new(vec![Remapping::new(
+        Addr(0x4000_0100),
+        8,
+        Addr(0x5000_0000),
+    )])
+    .unwrap()
+    .shared();
+    assert_eq!(
+        audit(liar_program().with_layout(map.clone())),
+        vec![liar_record(0, Addr(0x5000_0000))]
+    );
+    assert_eq!(audit(honest_program().with_layout(map)), Vec::new());
 }

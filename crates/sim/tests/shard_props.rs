@@ -19,10 +19,10 @@ use cheetah_sim::{
 };
 use proptest::prelude::*;
 
-/// Wrapper hiding a stream's declared footprint, forcing the sharded
-/// executor onto the per-line materialisation fallback. Comparing runs
-/// with and without it proves extent classification and per-line
-/// classification are interchangeable.
+/// Wrapper hiding a stream's declared footprint, so the sharded executor
+/// drains the stream and classifies it by the drained trace's exact
+/// footprint. Comparing runs with and without it proves the drained path
+/// and the declared one are interchangeable.
 struct HiddenFootprint<S>(S);
 
 impl<S: AccessStream> AccessStream for HiddenFootprint<S> {
@@ -55,7 +55,7 @@ fn build_program(shape: &Shape) -> Program {
 }
 
 /// Builds the shape's program; with `hide`, every stream's footprint is
-/// masked so classification falls back to per-line materialisation.
+/// masked so classification uses each drained trace's exact footprint.
 fn build_program_with(shape: &Shape, hide: bool) -> Program {
     let Shape {
         threads,
@@ -119,7 +119,7 @@ fn build_program_with(shape: &Shape, hide: bool) -> Program {
             .collect();
         workers.push(spec(format!("stream{phase}"), OpsStream::new(sweep), hide));
         // ... next to a worker whose stream cannot declare one (the
-        // per-line materialisation fallback), in the same phase.
+        // drained path), in the same phase.
         let unhinted = cheetah_sim::IterStream::new(
             (0..iterations * 4)
                 .map(move |i| Op::Read(stream_base.offset(0x80_000 + phase * 0x10_000 + i * 16))),
@@ -412,11 +412,11 @@ proptest! {
         prop_assert_eq!(&classic.samples, &sharded_sampler.samples);
     }
 
-    /// (e) Extent classification is interchangeable with per-line
-    /// classification: hiding every stream's footprint (forcing the
-    /// materialisation fallback) yields the bit-identical report, the
-    /// identical surfaced event stream and the identical sample sequence
-    /// at every shard count.
+    /// (e) Declared footprints are interchangeable with drained ones:
+    /// hiding every stream's footprint (so each stream is drained and
+    /// classified by its trace's exact footprint) yields the bit-identical
+    /// report, the identical surfaced event stream and the identical
+    /// sample sequence at every shard count.
     #[test]
     fn extent_vs_per_line_classification_identical(
         shape in arb_shape(),
@@ -425,11 +425,11 @@ proptest! {
     ) {
         let mut extent_rec = Recorder::default();
         let extent_report = run(&shape, shards, &mut extent_rec);
-        let mut fallback_rec = Recorder::default();
-        let fallback_report = run_hidden(&shape, shards, &mut fallback_rec);
-        prop_assert_eq!(&extent_report, &fallback_report);
-        prop_assert_eq!(&extent_rec.records, &fallback_rec.records);
-        prop_assert_eq!(&extent_rec.exits, &fallback_rec.exits);
+        let mut drained_rec = Recorder::default();
+        let drained_report = run_hidden(&shape, shards, &mut drained_rec);
+        prop_assert_eq!(&extent_report, &drained_report);
+        prop_assert_eq!(&extent_rec.records, &drained_rec.records);
+        prop_assert_eq!(&extent_rec.exits, &drained_rec.exits);
         // And both match the classic loop under the same (perturbing)
         // observer.
         let mut classic_rec = Recorder::default();
@@ -439,10 +439,10 @@ proptest! {
 
         let mut extent_sampler = ModuloSampler::new(period, 700);
         let extent_sampled = run(&shape, shards, &mut extent_sampler);
-        let mut fallback_sampler = ModuloSampler::new(period, 700);
-        let fallback_sampled = run_hidden(&shape, shards, &mut fallback_sampler);
-        prop_assert_eq!(&extent_sampled, &fallback_sampled);
-        prop_assert_eq!(&extent_sampler.samples, &fallback_sampler.samples);
+        let mut drained_sampler = ModuloSampler::new(period, 700);
+        let drained_sampled = run_hidden(&shape, shards, &mut drained_sampler);
+        prop_assert_eq!(&extent_sampled, &drained_sampled);
+        prop_assert_eq!(&extent_sampler.samples, &drained_sampler.samples);
     }
 
     /// (f) Extent classification under oversubscription: hidden and

@@ -10,7 +10,7 @@
 //! profiler attached.)
 
 use cheetah::core::{CheetahConfig, CheetahProfiler};
-use cheetah::repair::{repair_program, synthesize};
+use cheetah::repair::{apply_iterations, synthesize};
 use cheetah::sim::{ExecObserver, Machine, MachineConfig, NullObserver, Program, RunReport};
 use cheetah::workloads::{find, AppConfig, APPS};
 
@@ -79,7 +79,7 @@ fn run_ahead_matches_strict_order_after_a_layout_rewrite() {
     assert!(!plans.is_empty(), "packed_triplet must yield a repair plan");
     let (ahead, strict) = run_both(&machine, || {
         let mut instance = app.build(&config);
-        repair_program(instance.program, &plans, &mut instance.space)
+        apply_iterations(instance.program, &plans, &mut instance.space)
             .expect("synthesized repair must apply")
     });
     assert_eq!(ahead, strict, "repaired packed_triplet: run-ahead diverged");
