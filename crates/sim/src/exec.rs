@@ -544,6 +544,8 @@ impl<'a> Execution<'a> {
             }
             self.observer.on_phase_end(index, kind, main.clock);
             span.attr_u64("end_cycles", main.clock);
+            span.attr_u64("directory_lines", self.directory.table_lines() as u64);
+            span.attr_u64("directory_pages", self.directory.table_pages() as u64);
             if self.config.witness {
                 span.attr_u64(
                     "witness",

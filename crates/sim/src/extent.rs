@@ -210,8 +210,15 @@ impl ClassCursor {
     }
 }
 
-/// Converts a stream's byte-extent footprint to line extents, merging
-/// line-granularity overlaps (with OR'd write flags — a sound widening).
+/// Converts a stream's byte-extent footprint to line extents.
+///
+/// Byte extents that share a line merge at that line only: the shared line
+/// is written if either extent writes it, and the lines on either side keep
+/// their own extent's flag. Touching line extents with equal flags
+/// coalesce. The input is a [`crate::footprint::Footprint::Bounded`] list,
+/// sorted and disjoint, so two consecutive extents share at most one line;
+/// should a hand-built list overlap by more, the merged lines take the OR of
+/// the flags (a sound widening).
 pub(crate) fn byte_to_line_extents(extents: &[ByteExtent], line_size: u64) -> Vec<LineExtent> {
     let mut out: Vec<LineExtent> = Vec::with_capacity(extents.len());
     for extent in extents {
@@ -220,17 +227,31 @@ pub(crate) fn byte_to_line_extents(extents: &[ByteExtent], line_size: u64) -> Ve
         if extent.start >= extent.end {
             continue;
         }
-        let start = extent.start / line_size;
+        let mut start = extent.start / line_size;
         let end = (extent.end - 1) / line_size + 1;
+        if let Some(last) = out.last_mut() {
+            if start < last.end {
+                if last.wrote || !extent.wrote || last.end > end {
+                    // `last` already covers the shared lines with a flag
+                    // at least as strong (or, for an overlong overlap, is
+                    // widened to one); the rest starts after it.
+                    last.wrote |= extent.wrote;
+                    start = last.end;
+                } else {
+                    // Only the shared lines take the write flag: cut them
+                    // off the read-only `last`.
+                    last.end = start;
+                    if last.start == last.end {
+                        out.pop();
+                    }
+                }
+            }
+        }
+        if start >= end {
+            continue;
+        }
         match out.last_mut() {
-            Some(last) if start < last.end => {
-                // Same or overlapping line(s): widen.
-                last.end = last.end.max(end);
-                last.wrote |= extent.wrote;
-            }
-            Some(last) if start == last.end && last.wrote == extent.wrote => {
-                last.end = end;
-            }
+            Some(last) if start == last.end && last.wrote == extent.wrote => last.end = end,
             _ => out.push(LineExtent {
                 start,
                 end,
@@ -339,6 +360,43 @@ mod tests {
 
     fn ext(start: u64, end: u64, wrote: bool) -> LineExtent {
         LineExtent { start, end, wrote }
+    }
+
+    #[test]
+    fn byte_extents_sharing_a_line_widen_only_that_line() {
+        let bytes = |list: &[(u64, u64, bool)]| -> Vec<ByteExtent> {
+            list.iter()
+                .map(|&(start, end, wrote)| ByteExtent::new(start, end, wrote))
+                .collect()
+        };
+        // A later write shares line 1 with a read: line 0 stays read-only.
+        assert_eq!(
+            byte_to_line_extents(
+                &bytes(&[(0, 1, false), (64, 65, false), (72, 73, true)]),
+                64
+            ),
+            vec![ext(0, 1, false), ext(1, 2, true)]
+        );
+        // A later read sharing a written line leaves the lines after it
+        // read-only.
+        assert_eq!(
+            byte_to_line_extents(&bytes(&[(0, 8, true), (8, 200, false)]), 64),
+            vec![ext(0, 1, true), ext(1, 4, false)]
+        );
+        // A write sharing the last line of a longer read-only run takes
+        // only that line from it.
+        assert_eq!(
+            byte_to_line_extents(&bytes(&[(0, 130, false), (130, 400, true)]), 64),
+            vec![ext(0, 2, false), ext(2, 7, true)]
+        );
+        // Touching equal flags coalesce; an empty extent claims nothing.
+        assert_eq!(
+            byte_to_line_extents(
+                &bytes(&[(0, 64, true), (64, 64, false), (64, 128, true)]),
+                64
+            ),
+            vec![ext(0, 2, true)]
+        );
     }
 
     #[test]

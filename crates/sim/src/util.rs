@@ -1,18 +1,21 @@
-//! Small internal utilities: a fast, deterministic hasher for the hot
-//! directory lookups.
+//! Small internal utilities: a fast, deterministic hasher for the
+//! simulator's and detector's hot lookups.
 //!
-//! The simulator performs one hash-map lookup per memory access, so the
-//! default SipHash would dominate the run time. Keys are cache-line ids and
-//! addresses (already well distributed), so a Fibonacci multiply-xor hash is
-//! both fast and collision-resistant enough. Determinism also matters: the
-//! std `RandomState` would make iteration order differ between runs, and
-//! although the simulator never iterates maps for ordering, a fixed hasher
-//! removes the temptation entirely.
+//! The simulator's per-line and per-page tables (the coherence directory's
+//! page index, the sharded executor's exception and settling maps) and the
+//! detector's per-line and per-object tables are probed on every access or
+//! sample, so the default SipHash would dominate the run time. Keys are
+//! cache-line ids, page numbers and addresses (already well distributed), so
+//! a Fibonacci multiply-xor hash is both fast and collision-resistant
+//! enough. Determinism also matters: the std `RandomState` would make
+//! iteration order differ between runs, and although the simulator never
+//! iterates maps for ordering, a fixed hasher removes the temptation
+//! entirely.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` using [`FxHasher64`]; used for all per-line simulator state.
+/// A `HashMap` using [`FxHasher64`]; used for the workspace's keyed hot tables.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher64>>;
 
 /// A `HashSet` using [`FxHasher64`].

@@ -12,7 +12,9 @@
 //!     classify/precompute/merge passes reach the same logical machine
 //!     state at every phase boundary, not merely the same final report;
 //! (c) every `shard.precompute` span reports the residue it built: its
-//!     event count and the fixed-size chunks holding them.
+//!     event count and the fixed-size chunks holding them;
+//! (d) every `phase` span reports the size of the coherence directory's
+//!     line table: its per-line entries and its 64-line pages.
 
 use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver};
 use cheetah_workloads::{find, AppConfig};
@@ -126,6 +128,41 @@ fn precompute_spans_report_event_residue() {
         );
         assert!(chunks <= events, "{events} events in {chunks} chunks");
     }
+}
+
+/// (d) A classic-loop run's `phase` spans carry the directory table's
+/// line and page counts, which only grow from phase to phase.
+#[test]
+fn phase_spans_report_directory_table_size() {
+    let app = find("linear_regression").expect("registered workload");
+    let instance = app.build(&AppConfig {
+        threads: 4,
+        scale: 0.05,
+        fixed: false,
+        seed: 1,
+    });
+    let obs = ObsHandle::fresh();
+    let machine = Machine::new(MachineConfig::with_cores(16).with_obs(obs.clone()));
+    machine.run(instance.program, &mut NullObserver);
+    let spans = obs.spans_sorted_by_attr("phase", "index");
+    assert!(!spans.is_empty(), "no phase spans recorded");
+    let (mut lines_before, mut pages_before) = (0, 0);
+    for span in &spans {
+        let lines = span
+            .attr_u64("directory_lines")
+            .expect("directory_lines attr");
+        let pages = span
+            .attr_u64("directory_pages")
+            .expect("directory_pages attr");
+        // A page holds at most 64 lines; a page may hold LLC bits only.
+        assert!(lines <= 64 * pages, "{lines} lines in {pages} pages");
+        assert!(
+            lines >= lines_before && pages >= pages_before,
+            "table shrank: {lines_before} lines in {pages_before} pages, then {lines} in {pages}"
+        );
+        (lines_before, pages_before) = (lines, pages);
+    }
+    assert!(lines_before > 0, "the classic loop tracked no line");
 }
 
 proptest! {
