@@ -196,10 +196,7 @@ pub fn collect_instances(detector: &Detector, space: &AddressSpace) -> Vec<Shari
             if let Some(line_accum) = detector.line_accum(line) {
                 line_residency.push(line_accum.residency_for(accum.key));
             }
-            let Some(state) = detector.shadow().get(line) else {
-                continue;
-            };
-            let Some(detail) = state.detail.as_deref() else {
+            let Some(detail) = detector.line_detail(line) else {
                 continue;
             };
             for (index, word) in detail.words.words().iter().enumerate() {

@@ -9,7 +9,7 @@
 //! instead feed the `AverCycles_serial` estimate the assessment needs.
 
 use crate::config::DetectorConfig;
-use crate::detect::line_state::{LineDetail, LineState, StagedSample};
+use crate::detect::line_state::{LineDetail, LineSlot, SideTable, StagedSample};
 use crate::detect::lines::LineAccum;
 use crate::detect::sketch::CountMinSketch;
 use cheetah_heap::{AddressSpace, Location, ShadowMap};
@@ -42,6 +42,9 @@ pub const OBS_LINES_REPROMOTED: &str = "detect.lines_repromoted";
 pub const OBS_LINES_DENIED: &str = "detect.lines_denied";
 /// Counter name for objects evicted under the object-table bound.
 pub const OBS_OBJECTS_EVICTED: &str = "detect.objects_evicted";
+/// Gauge name for the bytes of per-line detector state: dense shadow
+/// pages plus side-table entries.
+pub const OBS_SHADOW_BYTES: &str = "detect.shadow_bytes";
 
 /// What [`Detector::ingest`] did with a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +134,17 @@ struct LineBound {
     denials: u64,
 }
 
+/// The stageable record of one parallel-phase sample.
+fn staged_sample(sample: &Sample) -> StagedSample {
+    StagedSample {
+        thread: sample.thread,
+        addr: sample.addr,
+        kind: sample.kind,
+        latency: sample.latency,
+        phase: sample.phase_index,
+    }
+}
+
 /// Identity of a monitored data object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ObjectKey {
@@ -150,6 +164,13 @@ pub struct ThreadOnObject {
     pub cycles: Cycles,
 }
 
+impl ThreadOnObject {
+    fn add(&mut self, latency: Cycles) {
+        self.accesses = self.accesses.saturating_add(1);
+        self.cycles = self.cycles.saturating_add(latency);
+    }
+}
+
 /// Accumulated sharing state of one object.
 #[derive(Debug, Clone)]
 pub struct ObjectAccum {
@@ -166,10 +187,12 @@ pub struct ObjectAccum {
     /// Per-(thread, phase) breakdown — the `Cycles_O(t)` slices the
     /// assessment subtracts from each phase's `Cycles_t` (a thread active
     /// in two parallel phases must not have its whole-run object cycles
-    /// charged against both). Whole-run per-thread totals are derived from
-    /// these slices on demand, so the two views cannot drift apart.
+    /// charged against both).
     per_thread_phase: FastMap<(ThreadId, u32), ThreadOnObject>,
     thread_phase_order: Vec<(ThreadId, u32)>,
+    /// Whole-run per-thread totals, updated with the slices by the same
+    /// saturating adds.
+    per_thread: FastMap<ThreadId, ThreadOnObject>,
     thread_order: Vec<ThreadId>,
     /// Cache lines of this object that reached detailed tracking.
     lines: FastSet<CacheLineId>,
@@ -186,6 +209,7 @@ impl ObjectAccum {
             latency: 0,
             per_thread_phase: FastMap::default(),
             thread_phase_order: Vec::new(),
+            per_thread: FastMap::default(),
             thread_order: Vec::new(),
             lines: FastSet::default(),
             line_order: Vec::new(),
@@ -201,7 +225,7 @@ impl ObjectAccum {
         invalidation: bool,
         line: CacheLineId,
     ) {
-        // Saturating throughout: like `LineState::record_write`, a counter
+        // Saturating throughout: like `LineSlot::record_write`, a counter
         // on a pathological (or fault-injected) stream must pin at its
         // ceiling, never wrap back toward zero and shrink a finding.
         match kind {
@@ -212,15 +236,21 @@ impl ObjectAccum {
             self.invalidations = self.invalidations.saturating_add(1);
         }
         self.latency = self.latency.saturating_add(latency);
-        if !self.per_thread_phase.contains_key(&(thread, phase)) {
-            self.thread_phase_order.push((thread, phase));
-            if !self.thread_order.contains(&thread) {
+        let slice = self
+            .per_thread_phase
+            .entry((thread, phase))
+            .or_insert_with(|| {
+                self.thread_phase_order.push((thread, phase));
+                ThreadOnObject::default()
+            });
+        slice.add(latency);
+        self.per_thread
+            .entry(thread)
+            .or_insert_with(|| {
                 self.thread_order.push(thread);
-            }
-        }
-        let slice = self.per_thread_phase.entry((thread, phase)).or_default();
-        slice.accesses = slice.accesses.saturating_add(1);
-        slice.cycles = slice.cycles.saturating_add(latency);
+                ThreadOnObject::default()
+            })
+            .add(latency);
         if self.lines.insert(line) {
             self.line_order.push(line);
         }
@@ -233,25 +263,14 @@ impl ObjectAccum {
 
     /// Per-thread counters in first-touch order, summed over phases.
     pub fn threads(&self) -> impl Iterator<Item = (ThreadId, ThreadOnObject)> + '_ {
-        // filter_map rather than expect: the order list and the slice map
-        // are updated together, but a hardened iterator costs nothing and
-        // a desync must degrade to a missing row, not a panic.
         self.thread_order
             .iter()
-            .filter_map(move |&thread| self.thread(thread).map(|slice| (thread, slice)))
+            .map(move |thread| (*thread, self.per_thread[thread]))
     }
 
     /// Counters of a single thread, summed over phases.
     pub fn thread(&self, thread: ThreadId) -> Option<ThreadOnObject> {
-        let mut total: Option<ThreadOnObject> = None;
-        for ((t, _), slice) in self.thread_phases() {
-            if t == thread {
-                let entry = total.get_or_insert_with(ThreadOnObject::default);
-                entry.accesses = entry.accesses.saturating_add(slice.accesses);
-                entry.cycles = entry.cycles.saturating_add(slice.cycles);
-            }
-        }
-        total
+        self.per_thread.get(&thread).copied()
     }
 
     /// Per-(thread, phase) counters in first-touch order.
@@ -305,7 +324,12 @@ impl ObjectAccum {
 #[derive(Debug)]
 pub struct Detector {
     config: DetectorConfig,
-    shadow: ShadowMap<LineState>,
+    /// Dense 8-byte slot per sampled line: the pre-filter write count and
+    /// a handle into `side`.
+    shadow: ShadowMap<LineSlot>,
+    /// Staged samples, detail and coarse tables of the few lines that
+    /// have them.
+    side: SideTable,
     objects: FastMap<ObjectKey, ObjectAccum>,
     object_order: Vec<ObjectKey>,
     lines: FastMap<CacheLineId, LineAccum>,
@@ -348,6 +372,7 @@ impl Detector {
         Detector {
             config,
             shadow: ShadowMap::new(line_size),
+            side: SideTable::default(),
             objects: FastMap::default(),
             object_order: Vec::new(),
             lines: FastMap::default(),
@@ -425,13 +450,13 @@ impl Detector {
         let line_size = self.config.line_size;
         let needs_admission;
         {
-            let Some(state) = self.shadow.get_mut_or_default(line) else {
+            let Some(slot) = self.shadow.get_mut_or_default(line) else {
                 // Stack / kernel / library address: the driver filters these.
                 self.filtered_samples += 1;
                 return IngestOutcome::Accepted;
             };
             if sample.kind.is_write() {
-                state.record_write();
+                slot.record_write();
             }
             if !sample.in_parallel_phase() {
                 // Serial-phase samples only contribute the no-false-sharing
@@ -440,60 +465,39 @@ impl Detector {
                 self.serial_samples += 1;
                 return IngestOutcome::Accepted;
             }
-            if state.detail.is_none() && state.writes.saturating_add(remembered) <= threshold {
+            let detailed = self
+                .side
+                .get(slot)
+                .is_some_and(|rare| rare.detail.is_some());
+            if !detailed && !slot.is_hot(threshold, remembered) {
                 // Pre-filter: the line is still cold. Stage (not drop) the
                 // sample so that, if the line does go hot, the accounting is
                 // not short exactly the samples that made it hot — a loss the
-                // assessment would amplify by the sampling rate. Writes have
-                // priority: a full buffer evicts its oldest read rather than
-                // drop a threshold-tripping write (a read-mostly line can
-                // otherwise fill every slot before the writer shows up).
-                Self::stage(
-                    state,
-                    StagedSample {
-                        thread: sample.thread,
-                        addr: sample.addr,
-                        kind: sample.kind,
-                        latency: sample.latency,
-                        phase: sample.phase_index,
-                    },
-                    threshold,
-                );
+                // assessment would amplify by the sampling rate.
+                self.side
+                    .get_or_insert(slot)
+                    .stage(staged_sample(sample), threshold);
                 return IngestOutcome::Accepted;
             }
-            needs_admission = state.detail.is_none();
+            needs_admission = !detailed;
         }
         // The shadow borrow is released: admission may evict another
         // line's shadow slot, which needs the map again.
         if needs_admission && !self.admit_line(line) {
             // Admission denied: every resident is hotter. Degrade to
-            // the coarse layer instead of losing the sample — a lazily
-            // boxed two-entry table keeps invalidation detection
-            // alive, and the object accumulator (whose memory is
-            // bounded separately) keeps the evidence the assessment
-            // needs. Only word-granularity detail is sacrificed.
+            // the coarse layer instead of losing the sample — the line's
+            // coarse two-entry table keeps invalidation detection alive,
+            // and the object accumulator (whose memory is bounded
+            // separately) keeps the evidence the assessment needs. Only
+            // word-granularity detail is sacrificed. Each coarse
+            // invalidation raises the line's admission bid by
+            // CONTENTION_WEIGHT, so a contended line climbs past
+            // write-hot private residents instead of starving.
             let invalidation = match self.shadow.get_mut_or_default(line) {
-                Some(state) => {
-                    let table = state.coarse.get_or_insert_with(Box::default);
-                    let invalidation = match sample.kind {
-                        AccessKind::Read => {
-                            table.record_read(sample.thread);
-                            false
-                        }
-                        AccessKind::Write => {
-                            table.record_write(sample.thread)
-                                == crate::detect::table::WriteOutcome::Invalidation
-                        }
-                    };
-                    if invalidation {
-                        // Each coarse invalidation raises the line's
-                        // admission bid by CONTENTION_WEIGHT, so a
-                        // contended line climbs past write-hot private
-                        // residents instead of starving.
-                        state.coarse_invalidations = state.coarse_invalidations.saturating_add(1);
-                    }
-                    invalidation
-                }
+                Some(slot) => self
+                    .side
+                    .get_or_insert(slot)
+                    .record_coarse(sample.thread, sample.kind),
                 None => false,
             };
             Self::record_object(
@@ -505,32 +509,23 @@ impl Detector {
                 &mut self.object_evictions,
                 space,
                 line,
-                &StagedSample {
-                    thread: sample.thread,
-                    addr: sample.addr,
-                    kind: sample.kind,
-                    latency: sample.latency,
-                    phase: sample.phase_index,
-                },
+                &staged_sample(sample),
                 invalidation,
             );
             return IngestOutcome::Accepted;
         }
-        let Some(state) = self.shadow.get_mut_or_default(line) else {
+        let Some(slot) = self.shadow.get_mut_or_default(line) else {
             // Unreachable — the same line resolved above — but a resolver
             // desync must degrade to a filtered sample, not a panic.
             self.filtered_samples += 1;
             return IngestOutcome::Accepted;
         };
-        let staged = std::mem::take(&mut state.staged);
-        // Allocate detail directly rather than via the threshold re-check:
-        // a sketch-re-promoted line is hot on remembered credit and may
-        // hold fewer post-eviction writes than the raw threshold asks.
-        let detail = &mut **state
-            .detail
-            .get_or_insert_with(|| Box::new(LineDetail::new(line_size)));
+        // Activate directly rather than via the threshold re-check: a
+        // sketch-re-promoted line is hot on remembered credit and may hold
+        // fewer post-eviction writes than the raw threshold asks.
+        let (staged, detail) = self.side.get_or_insert(slot).activate(line_size);
         let invalidations_before = detail.invalidations;
-        for held in &staged {
+        for held in staged.iter().chain([&staged_sample(sample)]) {
             Self::record_detail(
                 detail,
                 &mut self.objects,
@@ -545,26 +540,6 @@ impl Detector {
                 held,
             );
         }
-        let current = StagedSample {
-            thread: sample.thread,
-            addr: sample.addr,
-            kind: sample.kind,
-            latency: sample.latency,
-            phase: sample.phase_index,
-        };
-        Self::record_detail(
-            detail,
-            &mut self.objects,
-            &mut self.object_order,
-            &mut self.lines,
-            &mut self.unattributed_samples,
-            self.config.object_capacity,
-            &mut self.object_evictions,
-            space,
-            line,
-            line_size,
-            &current,
-        );
         // Heat growth is contention-weighted: a resident line earns 1 per
         // detailed sample plus CONTENTION_WEIGHT per invalidation it just
         // produced, so a falsely-shared resident resists eviction by
@@ -577,29 +552,6 @@ impl Detector {
             }
         }
         IngestOutcome::Accepted
-    }
-
-    /// Starts detailed tracking of `line`: under a capacity bound the
-    /// coldest tracked line is evicted first, and re-admission of a line
-    /// the sketch remembers counts as a re-promotion.
-    /// Parks a cold-line (or admission-denied) sample in the line's stage
-    /// buffer. Writes have priority: a full buffer evicts its oldest
-    /// staged read rather than drop a threshold-tripping write (a
-    /// read-mostly line could otherwise fill every slot before the writer
-    /// shows up).
-    fn stage(state: &mut LineState, staged: StagedSample, threshold: u32) {
-        if state.staged.len() < LineState::stage_capacity(threshold) {
-            state.staged.push(staged);
-        } else if staged.kind.is_write() {
-            if let Some(read) = state
-                .staged
-                .iter()
-                .position(|held| held.kind == AccessKind::Read)
-            {
-                state.staged.remove(read);
-                state.staged.push(staged);
-            }
-        }
     }
 
     /// Admits `line` into the detailed table, evicting the coldest
@@ -617,9 +569,12 @@ impl Detector {
             let credit = u64::from(bound.sketch.estimate(line));
             if bound.tracked.len() >= bound.capacity {
                 let challenger = credit
-                    + self.shadow.get(line).map_or(0, |state| {
-                        u64::from(state.writes)
-                            + CONTENTION_WEIGHT * u64::from(state.coarse_invalidations)
+                    + self.shadow.get(line).map_or(0, |slot| {
+                        let coarse = self
+                            .side
+                            .get(slot)
+                            .map_or(0, |rare| rare.coarse_invalidations);
+                        u64::from(slot.writes) + CONTENTION_WEIGHT * u64::from(coarse)
                     });
                 let coldest = bound
                     .tracked
@@ -677,21 +632,22 @@ impl Detector {
         }
         let victim = bound.tracked.remove(victim_index);
         bound.heat.remove(&victim);
-        if let Some(state) = self.shadow.get_mut_or_default(victim) {
+        if let Some(slot) = self.shadow.get_mut_or_default(victim) {
             // Fold contention alongside writes: a contended victim's
             // invalidations (detail-detected plus any earlier coarse ones)
             // inflate its sketch credit so it re-promotes cheaply and
             // re-enters with heat instead of thrashing at the bottom.
-            let contention = state
-                .detail
-                .as_ref()
-                .map_or(0, |detail| detail.invalidations)
-                .saturating_add(u64::from(state.coarse_invalidations));
-            let fold = u64::from(state.writes)
+            let contention = self.side.get(slot).map_or(0, |rare| {
+                rare.detail
+                    .as_ref()
+                    .map_or(0, |detail| detail.invalidations)
+                    .saturating_add(u64::from(rare.coarse_invalidations))
+            });
+            let fold = u64::from(slot.writes)
                 .saturating_add(CONTENTION_WEIGHT * contention)
                 .min(u64::from(u32::MAX)) as u32;
             bound.sketch.add(victim, fold);
-            *state = LineState::default();
+            self.side.release(slot);
         }
         self.detailed_lines = self.detailed_lines.saturating_sub(1);
         bound.evictions += 1;
@@ -895,9 +851,17 @@ impl Detector {
         self.objects.get(&key)
     }
 
-    /// The shadow map (line-level state), for classification passes.
-    pub fn shadow(&self) -> &ShadowMap<LineState> {
-        &self.shadow
+    /// Word-level detail of one cache line, present while the line holds
+    /// a detail slot (for classification passes).
+    pub(crate) fn line_detail(&self, line: CacheLineId) -> Option<&LineDetail> {
+        let slot = self.shadow.get(line)?;
+        self.side.get(slot)?.detail.as_deref()
+    }
+
+    /// Bytes of per-line state: dense shadow pages plus side-table
+    /// entries.
+    pub(crate) fn shadow_bytes(&self) -> usize {
+        self.shadow.shadow_bytes() + self.side.bytes()
     }
 
     /// Co-residency accumulator of one cache line (present once the line
@@ -1361,7 +1325,7 @@ mod tests {
         assert_eq!(detector.total_samples(), 3);
         assert_eq!(detector.serial_samples(), 0);
         assert_eq!(detector.objects().count(), 0);
-        assert!(detector.shadow().get(base.line(64)).is_none());
+        assert_eq!(detector.shadow_bytes(), 0);
     }
 
     #[test]
@@ -1449,12 +1413,111 @@ mod tests {
         let detailed = (0..8u64)
             .filter(|line| {
                 detector
-                    .shadow()
-                    .get(base.offset(line * 64).line(64))
-                    .is_some_and(|state| state.is_detailed())
+                    .line_detail(base.offset(line * 64).line(64))
+                    .is_some()
             })
             .count() as u64;
         assert_eq!(detailed, stats.detailed_lines);
+    }
+
+    #[test]
+    fn evicted_lines_release_their_side_entries() {
+        // Cold lines stage samples, hot lines churn through two detail
+        // slots (denied ones fall back to coarse tables), and evictions
+        // release entries for reuse: after every step the live side
+        // entries are exactly the lines holding staged, detail or coarse
+        // state, and released entries keep the table from growing.
+        let (space, base) = space_with_object(64 * 64);
+        let config = DetectorConfig {
+            line_capacity: Some(2),
+            ..DetectorConfig::default()
+        };
+        let mut detector = Detector::new(config);
+        let check = |detector: &Detector| {
+            let holding = detector
+                .shadow
+                .iter_touched()
+                .filter(|(_, slot)| detector.side.get(slot).is_some_and(|rare| !rare.is_empty()))
+                .count();
+            let handles = detector
+                .shadow
+                .iter_touched()
+                .filter(|(_, slot)| detector.side.get(slot).is_some())
+                .count();
+            assert_eq!(detector.side.live(), holding);
+            assert_eq!(handles, holding, "no slot points at an empty entry");
+        };
+        for round in 0..12u64 {
+            // Sixteen hot lines of lines 0..48 take turns: every round
+            // evicts.
+            hammer_lines(
+                &mut detector,
+                &space,
+                base.offset(((round % 3) * 16) * 64),
+                16,
+                3,
+            );
+            // Reads on lines 48..64 only ever stage.
+            for line in 0..4u64 {
+                detector.ingest(
+                    &space,
+                    &sample(
+                        3,
+                        base.offset((48 + (round * 4 + line) % 16) * 64 + 8),
+                        AccessKind::Read,
+                        PhaseKind::Parallel,
+                    ),
+                );
+            }
+            check(&detector);
+        }
+        let stats = detector.ingest_stats();
+        assert!(stats.line_evictions > 50, "{stats:?}");
+        assert!(stats.line_denials > 0, "{stats:?}");
+        assert!(
+            detector.side.bytes()
+                <= 64 * std::mem::size_of::<crate::detect::line_state::RareLineState>(),
+            "released entries are reused, not leaked"
+        );
+    }
+
+    #[test]
+    fn per_thread_totals_equal_the_phase_slices() {
+        // 1024 threads in two phases each, interleaved: the per-thread
+        // totals must equal a brute-force sum over the (thread, phase)
+        // slices, in first-touch order.
+        let mut accum = ObjectAccum::new(ObjectKey::Global(0));
+        for round in 0..3u64 {
+            for phase in [1u32, 2] {
+                for t in 0..1024u32 {
+                    let latency = u64::from(t % 7) + round + u64::from(phase);
+                    accum.record(
+                        ThreadId(t),
+                        phase,
+                        AccessKind::Write,
+                        latency,
+                        false,
+                        CacheLineId(u64::from(t)),
+                    );
+                }
+            }
+        }
+        let threads: Vec<(ThreadId, ThreadOnObject)> = accum.threads().collect();
+        assert_eq!(threads.len(), 1024);
+        assert_eq!(accum.thread_phases().count(), 2048);
+        for (index, (thread, total)) in threads.iter().enumerate() {
+            assert_eq!(thread.0 as usize, index, "first-touch order");
+            let mut expected = ThreadOnObject::default();
+            for ((t, _), slice) in accum.thread_phases() {
+                if t == *thread {
+                    expected.accesses += slice.accesses;
+                    expected.cycles += slice.cycles;
+                }
+            }
+            assert_eq!(*total, expected);
+            assert_eq!(accum.thread(*thread), Some(expected));
+        }
+        assert!(accum.thread(ThreadId(1024)).is_none());
     }
 
     #[test]

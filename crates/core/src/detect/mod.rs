@@ -13,7 +13,7 @@ pub mod words;
 pub use detector::{
     Detector, IngestOutcome, IngestStats, ObjectAccum, ObjectKey, QuarantineCounts, ThreadOnObject,
 };
-pub use line_state::{LineDetail, LineState};
+pub use line_state::LineDetail;
 pub use lines::{LineAccum, LineResidency, LineSlice};
 pub use prefilter::LinePrefilter;
 pub use sketch::CountMinSketch;

@@ -149,6 +149,9 @@ impl<'a> CheetahProfiler<'a> {
         let (objects, lines) = self.detector.table_sizes();
         self.obs.gauge(detector::OBS_OBJECT_TABLE).set(objects);
         self.obs.gauge(detector::OBS_LINE_TABLE).set(lines);
+        self.obs
+            .gauge(detector::OBS_SHADOW_BYTES)
+            .set(self.detector.shadow_bytes() as u64);
     }
 
     /// Delivers one (possibly fault-perturbed) sample: detector first —
@@ -760,6 +763,7 @@ mod tests {
         let prefiltered = profiler.detector().prefiltered_samples();
         let ingested = profiler.detector().total_samples();
         let objects = profiler.detector().objects().count() as u64;
+        let shadow_bytes = profiler.detector().shadow_bytes() as u64;
         let profile = profiler.finish();
 
         let counter = |name| obs.counter(name).get();
@@ -791,6 +795,12 @@ mod tests {
             assert_eq!(counter(name), value, "{name}");
         }
         assert_eq!(obs.gauge(detector::OBS_OBJECT_TABLE).get(), objects);
+        // Dense pages (one per touched 4096-line page) plus side entries.
+        assert!(
+            shadow_bytes
+                >= 4096 * std::mem::size_of::<crate::detect::line_state::LineSlot>() as u64
+        );
+        assert_eq!(obs.gauge(detector::OBS_SHADOW_BYTES).get(), shadow_bytes);
     }
 
     #[test]
