@@ -46,6 +46,7 @@
 use crate::classify::SharingInstance;
 use crate::detect::detector::ThreadOnObject;
 use cheetah_runtime::{PhaseInterval, ThreadRegistry};
+use cheetah_sim::util::{FastMap, FastSet};
 use cheetah_sim::{Cycles, PhaseKind, ThreadId};
 use std::fmt;
 
@@ -181,11 +182,12 @@ impl Relief {
     }
 }
 
-/// The traffic a repair of `instance` relieves for one thread within one
-/// phase, under the chosen credit model.
+/// The traffic a repair of `instance` relieves under line-level credit,
+/// per (thread, phase); a pair absent from the map is relieved of
+/// nothing. Each line's (thread, phase) slots are visited once, rather
+/// than every line probed for every thread of every phase.
 ///
-/// Per-object: the thread's sampled traffic on the instance itself.
-/// Line-level, per contended line of the instance:
+/// Per contended line of the instance:
 ///
 /// * residual uncontended — evicting the instance frees the line, so the
 ///   whole line's traffic (every co-resident's) is credited with post-fix
@@ -200,54 +202,47 @@ impl Relief {
 ///   `base + (L - base) * (sharers_after - 1) / (sharers_before - 1)`
 ///   per access once the eviction drops the sharer count. Phases where
 ///   the residual collapses to a single thread get the full credit.
-fn relieved_in_phase(
+fn line_relief(
     instance: &SharingInstance,
     ctx: &AssessContext<'_>,
-    model: AssessModel,
-    thread: ThreadId,
-    phase: u32,
-) -> Relief {
-    match model {
-        AssessModel::PerObject => {
-            Relief::full(instance.thread_in_phase(thread, phase).unwrap_or_default())
-        }
-        AssessModel::LineLevel => {
-            let mut relief = Relief::default();
-            for line in &instance.line_residency {
-                if !line.residual_contended {
-                    relief.add_full(line.relieved(thread, phase));
-                    continue;
-                }
-                // The instance's own traffic leaves the line entirely.
-                relief.add_full(line.relieved(thread, phase));
-                let residual = line.residual(thread, phase);
-                if residual.accesses == 0 {
-                    continue;
-                }
-                let after = line.residual_sharers_in_phase(phase);
-                if after <= 1 {
-                    // This phase's residual is single-threaded: free.
-                    relief.add_full(residual);
-                    continue;
-                }
-                let before = line.sharers_in_phase(phase).max(after);
-                if before <= after {
-                    // Eviction does not reduce this phase's sharer count
-                    // (the evicted threads also ride co-resident objects):
-                    // nothing shrinks.
-                    continue;
-                }
-                let mean = residual.cycles as f64 / residual.accesses as f64;
-                let base = ctx.coherence_latency;
-                if mean <= base {
-                    continue;
-                }
-                let shrunk = base + (mean - base) * (after as f64 - 1.0) / (before as f64 - 1.0);
-                relief.removed_cycles += (mean - shrunk) * residual.accesses as f64;
+) -> FastMap<(ThreadId, u32), Relief> {
+    let mut reliefs: FastMap<(ThreadId, u32), Relief> = FastMap::default();
+    for line in &instance.line_residency {
+        for (thread, phase) in line.slots() {
+            let relief = reliefs.entry((thread, phase)).or_default();
+            // The whole line, or the instance's own traffic, which leaves
+            // the line entirely.
+            relief.add_full(line.relieved(thread, phase));
+            if !line.residual_contended {
+                continue;
             }
-            relief
+            let residual = line.residual(thread, phase);
+            if residual.accesses == 0 {
+                continue;
+            }
+            let after = line.residual_sharers_in_phase(phase);
+            if after <= 1 {
+                // This phase's residual is single-threaded: free.
+                relief.add_full(residual);
+                continue;
+            }
+            let before = line.sharers_in_phase(phase).max(after);
+            if before <= after {
+                // Eviction does not reduce this phase's sharer count (the
+                // evicted threads also ride co-resident objects): nothing
+                // shrinks.
+                continue;
+            }
+            let mean = residual.cycles as f64 / residual.accesses as f64;
+            let base = ctx.coherence_latency;
+            if mean <= base {
+                continue;
+            }
+            let shrunk = base + (mean - base) * (after as f64 - 1.0) / (before as f64 - 1.0);
+            relief.removed_cycles += (mean - shrunk) * residual.accesses as f64;
         }
     }
+    reliefs
 }
 
 /// Threads whose traffic a repair relieves, first-touch order — the
@@ -257,10 +252,11 @@ fn related_threads(instance: &SharingInstance, model: AssessModel) -> Vec<Thread
     match model {
         AssessModel::PerObject => instance.per_thread.iter().map(|(t, _)| *t).collect(),
         AssessModel::LineLevel => {
+            let mut seen = FastSet::default();
             let mut threads = Vec::new();
             for line in &instance.line_residency {
                 for thread in line.relieved_threads() {
-                    if !threads.contains(&thread) {
+                    if seen.insert(thread) {
                         threads.push(thread);
                     }
                 }
@@ -296,6 +292,10 @@ pub fn assess_with_model(
 ) -> Assessment {
     let mut predicted_app = 0.0f64;
     let mut per_thread = Vec::new();
+    let line_reliefs = match model {
+        AssessModel::PerObject => FastMap::default(),
+        AssessModel::LineLevel => line_relief(instance, ctx),
+    };
 
     for phase in ctx.phases {
         match phase.kind {
@@ -318,7 +318,19 @@ pub fn assess_with_model(
                             }
                             None => (phase.duration(), 0, 0, 0),
                         };
-                    let relief = relieved_in_phase(instance, ctx, model, thread, phase.index);
+                    // Per-object credit: the thread's sampled traffic on
+                    // the instance itself.
+                    let relief = match model {
+                        AssessModel::PerObject => Relief::full(
+                            instance
+                                .thread_in_phase(thread, phase.index)
+                                .unwrap_or_default(),
+                        ),
+                        AssessModel::LineLevel => line_reliefs
+                            .get(&(thread, phase.index))
+                            .copied()
+                            .unwrap_or_default(),
+                    };
                     // Eq. 1, applied to this thread's share of the relieved
                     // traffic within this phase.
                     let pred_cycles_o = ctx.aver_cycles_nofs * relief.credited_accesses;
@@ -671,9 +683,29 @@ mod tests {
     /// stays long); line-level credit frees the whole line.
     #[test]
     fn line_level_credits_co_resident_threads() {
-        use crate::detect::lines::LineResidency;
-        use cheetah_sim::CacheLineId;
+        use crate::detect::lines::LineAccum;
+        use cheetah_sim::{AccessKind, CacheLineId};
 
+        // The instance (object 0) is thread 1's; each `(object, thread)`
+        // of `others` is a co-resident. Every slice is 100 phase-1 writes
+        // of `latency` cycles, except the instance's at 100 cycles.
+        let residency = |others: &[(u64, u32)], latency: u64| {
+            let mut accum = LineAccum::new(CacheLineId(0x4000_0000 / 64));
+            for _ in 0..100 {
+                accum.record(
+                    ObjectKey::Heap(ObjectId(0)),
+                    ThreadId(1),
+                    1,
+                    AccessKind::Write,
+                    100,
+                );
+                for &(object, thread) in others {
+                    let key = ObjectKey::Heap(ObjectId(object));
+                    accum.record(key, ThreadId(thread), 1, AccessKind::Write, latency);
+                }
+            }
+            accum.residency_for(ObjectKey::Heap(ObjectId(0)))
+        };
         let phases = phases();
         let registry = registry(&[(1, 10_000, 100), (2, 10_000, 100)]);
         let on_obj = ThreadOnObject {
@@ -681,13 +713,8 @@ mod tests {
             cycles: 10_000,
         };
         let mut inst = instance(vec![(ThreadId(1), on_obj)]);
-        inst.line_residency = vec![LineResidency {
-            line: CacheLineId(0x4000_0000 / 64),
-            residents: vec![ObjectKey::Heap(ObjectId(0)), ObjectKey::Heap(ObjectId(1))],
-            own: vec![((ThreadId(1), 1), on_obj)],
-            all: vec![((ThreadId(1), 1), on_obj), ((ThreadId(2), 1), on_obj)],
-            residual_contended: false,
-        }];
+        inst.line_residency = vec![residency(&[(1, 2)], 100)];
+        assert!(!inst.line_residency[0].residual_contended);
         let ctx = AssessContext {
             phases: &phases,
             threads: &registry,
@@ -711,17 +738,25 @@ mod tests {
         );
         assert_eq!(line_level.total_threads, 2);
         assert_eq!(line_level.model, AssessModel::LineLevel);
+        // Thread 2's traffic is credited once, at post-fix latency.
+        let thread2 = line_level
+            .per_thread
+            .iter()
+            .find(|t| t.thread == ThreadId(2))
+            .unwrap();
+        assert!(
+            (thread2.predicted_cycles - 1_000.0).abs() < 1e-6,
+            "got {}",
+            thread2.predicted_cycles
+        );
 
         // A contended residual (three-plus co-residents, two of them
         // surviving the eviction) collapses the credit back to the
         // instance's own traffic: with the residual slices' mean latency
         // at the coherence baseline there is no wait to shrink, so thread
         // 2 keeps its runtime and the phase stays long.
-        inst.line_residency[0].residual_contended = true;
-        inst.line_residency[0]
-            .residents
-            .push(ObjectKey::Heap(ObjectId(2)));
-        inst.line_residency[0].all.push(((ThreadId(3), 1), on_obj));
+        inst.line_residency = vec![residency(&[(1, 2), (2, 3)], 100)];
+        assert!(inst.line_residency[0].residual_contended);
         let conservative = assess_with_model(&inst, &ctx, AssessModel::LineLevel);
         assert!(
             (conservative.improvement - 1.0).abs() < 1e-6,
@@ -738,11 +773,7 @@ mod tests {
             threads: &heavier,
             ..ctx
         };
-        for ((thread, _), traffic) in &mut inst.line_residency[0].all {
-            if *thread != ThreadId(1) {
-                traffic.cycles = 40_000;
-            }
-        }
+        inst.line_residency = vec![residency(&[(1, 2), (2, 3)], 400)];
         let partially = assess_with_model(&inst, &ctx, AssessModel::LineLevel);
         let thread2 = partially
             .per_thread

@@ -113,59 +113,101 @@ impl LineAccum {
 
     /// Whether the line would still be contended with `evicted` relocated
     /// away: two distinct threads in the same parallel phase among the
-    /// remaining residents' traffic, at least one of them writing.
+    /// remaining residents' traffic, at least one of them writing — that
+    /// is, some phase with two or more threads and a writer.
     pub fn contended_without(&self, evicted: ObjectKey) -> bool {
-        let rest: Vec<_> = self
+        let mut rest: Vec<_> = self
             .order
             .iter()
             .filter(|&&(key, _, _)| key != evicted)
-            .map(|slot| (slot.1, slot.2, self.slices[slot].writes > 0))
+            .map(|slot| (slot.2, slot.1, self.slices[slot].writes > 0))
             .collect();
-        rest.iter().enumerate().any(|(i, &(t_a, p_a, writes_a))| {
-            rest.iter()
-                .skip(i + 1)
-                .any(|&(t_b, p_b, writes_b)| t_a != t_b && p_a == p_b && (writes_a || writes_b))
+        // Grouped by phase with threads sorted, a phase has two threads
+        // exactly when its first and last slices differ in thread.
+        rest.sort_unstable_by_key(|&(phase, thread, _)| (phase, thread));
+        rest.chunk_by(|a, b| a.0 == b.0).any(|phase| {
+            phase[0].1 != phase[phase.len() - 1].1 && phase.iter().any(|&(_, _, writes)| writes)
         })
     }
 
     /// The co-residency view of the line from the perspective of one
     /// instance (identified by `key`), ready for assessment.
     pub fn residency_for(&self, key: ObjectKey) -> LineResidency {
-        let mut own: Vec<((ThreadId, u32), ThreadOnObject)> = Vec::new();
-        let mut all: Vec<((ThreadId, u32), ThreadOnObject)> = Vec::new();
-        for ((object, thread, phase), slice) in self.slices() {
-            if object == key {
-                merge(&mut own, (thread, phase), slice.as_traffic());
+        let mut slots: Vec<Slot> = self
+            .slices()
+            .enumerate()
+            .map(|(first, ((object, thread, phase), slice))| {
+                let traffic = slice.as_traffic();
+                Slot {
+                    phase,
+                    thread,
+                    first: first as u32,
+                    all: traffic,
+                    own: if object == key {
+                        traffic
+                    } else {
+                        ThreadOnObject::default()
+                    },
+                }
+            })
+            .collect();
+        // One slot per (phase, thread): the first-touched slice absorbs
+        // the residents' later ones.
+        slots.sort_unstable_by_key(|slot| (slot.key(), slot.first));
+        slots.dedup_by(|later, kept| {
+            let same = later.key() == kept.key();
+            if same {
+                add(&mut kept.all, later.all);
+                add(&mut kept.own, later.own);
             }
-            merge(&mut all, (thread, phase), slice.as_traffic());
+            same
+        });
+        let mut sharers: Vec<(u32, u32, u32)> = Vec::new();
+        for slot in &slots {
+            if sharers.last().is_none_or(|counts| counts.0 != slot.phase) {
+                sharers.push((slot.phase, 0, 0));
+            }
+            let counts = sharers.last_mut().expect("pushed above");
+            counts.1 += u32::from(slot.all.accesses > 0);
+            counts.2 += u32::from(slot.all.accesses > slot.own.accesses);
         }
         LineResidency {
             line: self.line,
             residents: self.residents.clone(),
-            own,
-            all,
             residual_contended: self.contended_without(key),
+            slots,
+            sharers,
         }
     }
 }
 
-fn merge(
-    into: &mut Vec<((ThreadId, u32), ThreadOnObject)>,
-    slot: (ThreadId, u32),
-    traffic: ThreadOnObject,
-) {
-    match into.iter_mut().find(|(key, _)| *key == slot) {
-        Some((_, existing)) => {
-            existing.accesses = existing.accesses.saturating_add(traffic.accesses);
-            existing.cycles = existing.cycles.saturating_add(traffic.cycles);
-        }
-        None => into.push((slot, traffic)),
+fn add(into: &mut ThreadOnObject, traffic: ThreadOnObject) {
+    into.accesses = into.accesses.saturating_add(traffic.accesses);
+    into.cycles = into.cycles.saturating_add(traffic.cycles);
+}
+
+/// One thread's traffic on a line within one phase: the whole line's and
+/// the instance's own share of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slot {
+    phase: u32,
+    thread: ThreadId,
+    /// Position of the slot's first slice in the line's first-touch order.
+    first: u32,
+    all: ThreadOnObject,
+    own: ThreadOnObject,
+}
+
+impl Slot {
+    fn key(&self) -> (u32, ThreadId) {
+        (self.phase, self.thread)
     }
 }
 
 /// Co-residency profile of one cache line of a sharing instance — the
 /// input of the line-granular assessment path
-/// ([`crate::assess::AssessModel::LineLevel`]).
+/// ([`crate::assess::AssessModel::LineLevel`]), built by
+/// [`LineAccum::residency_for`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LineResidency {
     /// The cache line.
@@ -173,15 +215,16 @@ pub struct LineResidency {
     /// Every object with sampled traffic on the line (including the
     /// instance itself), in first-touch order.
     pub residents: Vec<ObjectKey>,
-    /// The instance's own per-(thread, phase) traffic on this line.
-    pub own: Vec<((ThreadId, u32), ThreadOnObject)>,
-    /// The whole line's per-(thread, phase) traffic across all residents.
-    pub all: Vec<((ThreadId, u32), ThreadOnObject)>,
     /// Whether the line stays contended after evicting this instance. When
     /// `false`, relocating the instance frees the line entirely and every
     /// thread's traffic on the line is credited with post-fix latency; when
     /// `true`, only the instance's own traffic is.
     pub residual_contended: bool,
+    /// The line's per-(thread, phase) traffic, sorted by (phase, thread).
+    slots: Vec<Slot>,
+    /// Per phase, ascending: threads with traffic on the line, and those
+    /// still on it after evicting the instance.
+    sharers: Vec<(u32, u32, u32)>,
 }
 
 impl LineResidency {
@@ -190,16 +233,32 @@ impl LineResidency {
         self.residents.len()
     }
 
+    /// The `(thread, phase)` pairs with traffic on the line, by phase and
+    /// then thread.
+    pub fn slots(&self) -> impl Iterator<Item = (ThreadId, u32)> + '_ {
+        self.slots.iter().map(|slot| (slot.thread, slot.phase))
+    }
+
+    fn slot(&self, thread: ThreadId, phase: u32) -> Option<&Slot> {
+        let at = self
+            .slots
+            .binary_search_by_key(&(phase, thread), Slot::key)
+            .ok()?;
+        Some(&self.slots[at])
+    }
+
     /// The traffic this line's repair relieves for `(thread, phase)`: the
     /// whole line when the residual is uncontended, otherwise only the
     /// instance's own share.
     pub fn relieved(&self, thread: ThreadId, phase: u32) -> ThreadOnObject {
-        let source = if self.residual_contended {
-            &self.own
-        } else {
-            &self.all
-        };
-        traffic_of(source, thread, phase)
+        self.slot(thread, phase)
+            .map_or_else(ThreadOnObject::default, |slot| {
+                if self.residual_contended {
+                    slot.own
+                } else {
+                    slot.all
+                }
+            })
     }
 
     /// Threads this line's repair touches, first-touch order: every
@@ -208,65 +267,40 @@ impl LineResidency {
     /// relieved (their queueing wait shrinks with the sharer count), so
     /// they count as related for the report totals.
     pub fn relieved_threads(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        self.all.iter().map(|((thread, _), _)| *thread)
+        let mut slots: Vec<&Slot> = self.slots.iter().collect();
+        slots.sort_unstable_by_key(|slot| slot.first);
+        slots.into_iter().map(|slot| slot.thread)
     }
 
     /// The co-residents' traffic left on the line after evicting this
     /// instance, for `(thread, phase)`: whole-line minus own.
     pub fn residual(&self, thread: ThreadId, phase: u32) -> ThreadOnObject {
-        let all = traffic_of(&self.all, thread, phase);
-        let own = traffic_of(&self.own, thread, phase);
-        ThreadOnObject {
-            accesses: all.accesses - own.accesses,
-            cycles: all.cycles - own.cycles,
-        }
+        self.slot(thread, phase)
+            .map_or_else(ThreadOnObject::default, |slot| ThreadOnObject {
+                accesses: slot.all.accesses - slot.own.accesses,
+                cycles: slot.all.cycles - slot.own.cycles,
+            })
     }
 
     /// Distinct threads with any traffic on the line within `phase`.
     pub fn sharers_in_phase(&self, phase: u32) -> usize {
-        distinct_threads(&self.all, phase, &[])
+        self.phase_sharers(phase).0
     }
 
     /// Distinct threads still on the line within `phase` after evicting
-    /// this instance.
+    /// this instance: those whose accesses its own slice does not cancel.
     pub fn residual_sharers_in_phase(&self, phase: u32) -> usize {
-        distinct_threads(&self.all, phase, &self.own)
+        self.phase_sharers(phase).1
     }
-}
 
-/// The `(thread, phase)` slice of a traffic list, zero when absent.
-fn traffic_of(
-    source: &[((ThreadId, u32), ThreadOnObject)],
-    thread: ThreadId,
-    phase: u32,
-) -> ThreadOnObject {
-    source
-        .iter()
-        .find(|((t, p), _)| *t == thread && *p == phase)
-        .map(|(_, traffic)| *traffic)
-        .unwrap_or_default()
-}
-
-/// Counts distinct threads of `source` in `phase` whose accesses are not
-/// fully cancelled by the matching `minus` slice.
-fn distinct_threads(
-    source: &[((ThreadId, u32), ThreadOnObject)],
-    phase: u32,
-    minus: &[((ThreadId, u32), ThreadOnObject)],
-) -> usize {
-    source
-        .iter()
-        .filter(|((t, p), traffic)| {
-            *p == phase && {
-                let subtracted = minus
-                    .iter()
-                    .find(|((mt, mp), _)| mt == t && *mp == phase)
-                    .map(|(_, m)| m.accesses)
-                    .unwrap_or(0);
-                traffic.accesses > subtracted
-            }
-        })
-        .count()
+    fn phase_sharers(&self, phase: u32) -> (usize, usize) {
+        self.sharers
+            .binary_search_by_key(&phase, |counts| counts.0)
+            .map_or((0, 0), |at| {
+                let (_, before, after) = self.sharers[at];
+                (before as usize, after as usize)
+            })
+    }
 }
 
 #[cfg(test)]
@@ -373,8 +407,89 @@ mod tests {
         let residency = accum.residency_for(A);
         assert_eq!(residency.co_resident_count(), 1);
         assert!(!residency.residual_contended);
-        assert_eq!(residency.own, residency.all);
+        assert!(residency.slots.iter().all(|slot| slot.own == slot.all));
         let threads: Vec<_> = residency.relieved_threads().collect();
         assert_eq!(threads, vec![ThreadId(1), ThreadId(2)]);
+    }
+
+    /// 1024 threads in two phases on three residents: the residency's
+    /// lists, lookups, sharer counts and contention test match
+    /// brute-force sums over the recorded samples.
+    #[test]
+    fn residency_of_1024_threads_matches_brute_force() {
+        let mut accum = LineAccum::new(line());
+        let mut samples = Vec::new();
+        for round in 0..3u64 {
+            for t in 0..1024u32 {
+                for phase in [1u32, 3] {
+                    let key = [A, B, C][((t as u64 + round) % 3) as usize];
+                    if (t + phase).is_multiple_of(5) && round > 0 {
+                        continue;
+                    }
+                    let kind = if (t + round as u32).is_multiple_of(7) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let latency = 10 + (t as u64 * 31 + round * 17 + phase as u64) % 400;
+                    accum.record(key, ThreadId(t), phase, kind, latency);
+                    samples.push((key, ThreadId(t), phase, kind, latency));
+                }
+            }
+        }
+        // First-touch order of (thread, phase) slots.
+        let mut first_touch = Vec::new();
+        for s in &samples {
+            if !first_touch.contains(&(s.1, s.2)) {
+                first_touch.push((s.1, s.2));
+            }
+        }
+        let add = |acc: &mut ThreadOnObject, latency: u64| {
+            acc.accesses += 1;
+            acc.cycles += latency;
+        };
+        for evicted in [A, B, C] {
+            let residency = accum.residency_for(evicted);
+            // Residual contention by its pairwise definition.
+            let kept: Vec<_> = samples.iter().filter(|s| s.0 != evicted).collect();
+            let contended = kept.iter().any(|a| {
+                kept.iter()
+                    .any(|b| a.1 != b.1 && a.2 == b.2 && (a.3.is_write() || b.3.is_write()))
+            });
+            assert_eq!(residency.residual_contended, contended);
+            let mut by_first: Vec<_> = residency.slots.clone();
+            by_first.sort_by_key(|slot| slot.first);
+            let all_slots: Vec<_> = by_first
+                .iter()
+                .map(|slot| (slot.thread, slot.phase))
+                .collect();
+            assert_eq!(all_slots, first_touch);
+            let relieved: Vec<_> = residency.relieved_threads().collect();
+            let expected: Vec<_> = first_touch.iter().map(|(t, _)| *t).collect();
+            assert_eq!(relieved, expected);
+            for phase in [1u32, 3] {
+                let mut sharers = 0;
+                let mut residual_sharers = 0;
+                for t in (0..1024).map(ThreadId) {
+                    let (mut own, mut all, mut rest) = Default::default();
+                    for s in samples.iter().filter(|s| s.1 == t && s.2 == phase) {
+                        add(&mut all, s.4);
+                        add(if s.0 == evicted { &mut own } else { &mut rest }, s.4);
+                    }
+                    assert_eq!(residency.residual(t, phase), rest);
+                    let relieved = if contended { own } else { all };
+                    assert_eq!(residency.relieved(t, phase), relieved);
+                    let slot = residency.slot(t, phase);
+                    assert_eq!(
+                        slot.map(|slot| (slot.all, slot.own)),
+                        (all.accesses > 0).then_some((all, own))
+                    );
+                    sharers += usize::from(all.accesses > 0);
+                    residual_sharers += usize::from(rest.accesses > 0);
+                }
+                assert_eq!(residency.sharers_in_phase(phase), sharers);
+                assert_eq!(residency.residual_sharers_in_phase(phase), residual_sharers);
+            }
+        }
     }
 }

@@ -56,7 +56,8 @@ pub struct MachineConfig {
     /// [`crate::metrics::CLASSIC_SWITCHES`] counts the turns. `0` means
     /// "auto" (the host's available parallelism); `>= 2` executes each
     /// parallel phase in two passes — per-worker event precomputation
-    /// fanned out over this many host threads, then a deterministic merge
+    /// split over this many host threads (the calling one and up to
+    /// `shards - 1` helpers), then a deterministic merge
     /// ordered by `(timestamp, worker, seq)` (see [`crate::shard`]).
     /// Reports are bit-identical for every value; only wall-clock time
     /// changes.

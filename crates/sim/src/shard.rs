@@ -11,10 +11,12 @@
 //! This module executes the same phase in two passes whose result is
 //! **bit-identical** to the classic loop:
 //!
-//! 1. **Precompute** (fanned out over host threads): each worker's access
-//!    stream is replayed *locally*. Three facts make most of the work
-//!    timing-independent and therefore precomputable before any global
-//!    interleaving is known:
+//! 1. **Precompute** (on the calling thread and up to `shards - 1` scoped
+//!    helper threads; workers are dealt round-robin and the calling thread
+//!    takes the first share itself, so one shard spawns no thread and two
+//!    spawn one): each worker's access stream is replayed *locally*.
+//!    Three facts make most of the work timing-independent and therefore
+//!    precomputable before any global interleaving is known:
 //!    * streams are deterministic state machines — the op sequence never
 //!      depends on timing;
 //!    * MESI transitions (`coherence::transition`) depend only on
@@ -758,7 +760,7 @@ pub(crate) fn run_parallel_sharded(
     span_precompute.attr_u64("phase", u64::from(phase_index));
     span_precompute.attr_u64("shards", shards as u64);
 
-    // Pass 1b: per-worker event precomputation, fanned out on host threads.
+    // Pass 1b: per-worker event precomputation, on this thread and helpers.
     let inputs: Vec<(OpFeed, ForkJudge, u32, CoreId, Option<CacheLineId>)> = {
         let mut inputs = Vec::with_capacity(workers.len());
         let mut judges = judges.into_iter();
@@ -776,6 +778,7 @@ pub(crate) fn run_parallel_sharded(
     let latency_ref = &latency;
     let table_ref = &table;
     let directory_ref: &Directory = directory;
+    let helper_threads = shards.min(inputs.len()).max(1) - 1;
     let mut plans: Vec<WorkerPlan> = parallel_map(inputs, shards, &|_slot, input| {
         let (feed, judge, me, core, last_line) = input;
         precompute_worker(
@@ -791,6 +794,7 @@ pub(crate) fn run_parallel_sharded(
         )
     });
     let t_pre = t0.elapsed();
+    span_precompute.attr_u64("helper_threads", helper_threads as u64);
     span_precompute.attr_u64(
         "events",
         plans.iter().map(|plan| plan.events.len() as u64).sum(),
@@ -1515,9 +1519,12 @@ fn merge(
     merge_workers.iter().map(|w| w.clock).collect()
 }
 
-/// Applies `f` to every item on up to `threads` scoped host threads,
-/// preserving index order. Items are distributed round-robin; the result is
-/// independent of the distribution because `f` is pure per item.
+/// Applies `f` to every item on the calling thread and up to
+/// `threads - 1` scoped helper threads, preserving index order. Items are
+/// distributed round-robin over `min(threads, items)` buckets; bucket 0
+/// runs on the calling thread, as a fork-join fork usually does, so one
+/// thread is the same code with no helper. The result is independent of
+/// the distribution because `f` is pure per item.
 fn parallel_map<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
@@ -1525,34 +1532,28 @@ fn parallel_map<T: Send, R: Send>(
 ) -> Vec<R> {
     let count = items.len();
     let threads = threads.min(count).max(1);
-    if threads <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
     let mut buckets: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
     for (i, item) in items.into_iter().enumerate() {
         buckets[i % threads].push((i, item));
     }
+    let run = &|bucket: Vec<(usize, T)>| -> Vec<(usize, R)> {
+        bucket
+            .into_iter()
+            .map(|(i, item)| (i, f(i, item)))
+            .collect()
+    };
     let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
+        let mut buckets = buckets.into_iter();
+        let own = buckets.next().expect("at least one bucket");
+        let helpers: Vec<_> = buckets
+            .map(|bucket| scope.spawn(move || run(bucket)))
             .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("shard host thread panicked") {
-                out[i] = Some(result);
-            }
+        let helped = helpers
+            .into_iter()
+            .flat_map(|helper| helper.join().expect("shard host thread panicked"));
+        for (i, result) in run(own).into_iter().chain(helped) {
+            out[i] = Some(result);
         }
     });
     out.into_iter()
@@ -1568,5 +1569,41 @@ mod tests {
     #[test]
     fn event_fits_in_32_bytes() {
         assert!(std::mem::size_of::<Ev>() <= 32);
+    }
+
+    /// Every item runs exactly once and its result lands at its index,
+    /// whatever the thread and item counts.
+    #[test]
+    fn parallel_map_keeps_index_order_and_runs_each_item_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in 1..=4 {
+            for items in [0usize, 1, 2, 5] {
+                let runs: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
+                let inputs: Vec<usize> = (0..items).map(|i| 10 * i).collect();
+                let out = parallel_map(inputs, threads, &|i, item| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    (i, item + 1)
+                });
+                let expected: Vec<_> = (0..items).map(|i| (i, 10 * i + 1)).collect();
+                assert_eq!(out, expected, "{threads} threads, {items} items");
+                assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+            }
+        }
+    }
+
+    /// Item 0 runs on the calling thread, and at most `threads - 1` other
+    /// threads take part.
+    #[test]
+    fn parallel_map_runs_item_zero_on_the_caller() {
+        let caller = std::thread::current().id();
+        for threads in 1..=4 {
+            let ids = parallel_map((0..7).collect(), threads, &|_, _: i32| {
+                std::thread::current().id()
+            });
+            assert_eq!(ids[0], caller, "{threads} threads");
+            let others: std::collections::HashSet<_> =
+                ids.iter().filter(|&&id| id != caller).collect();
+            assert!(others.len() < threads, "{threads} threads: {others:?}");
+        }
     }
 }

@@ -11,12 +11,13 @@
 //!     for real registry workloads — the classic loop and the sharded
 //!     classify/precompute/merge passes reach the same logical machine
 //!     state at every phase boundary, not merely the same final report;
-//! (c) every `shard.precompute` span reports the residue it built: its
-//!     event count and the fixed-size chunks holding them;
+//! (c) every `shard.precompute` span reports the residue it built — its
+//!     event count and the fixed-size chunks holding them — and the host
+//!     threads it spawned besides the calling one;
 //! (d) every `phase` span reports the size of the coherence directory's
 //!     line table: its per-line entries and its 64-line pages.
 
-use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver};
+use cheetah_sim::{metrics, Machine, MachineConfig, NullObserver, SchedulePolicy};
 use cheetah_workloads::{find, AppConfig};
 use proptest::prelude::*;
 
@@ -127,6 +128,58 @@ fn precompute_spans_report_event_residue() {
             "{events} events in {chunks} chunks"
         );
         assert!(chunks <= events, "{events} events in {chunks} chunks");
+    }
+}
+
+/// Runs linear_regression broken at four threads on `config` and returns
+/// each parallel phase's `(workers, helper_threads)`, phase order.
+fn precompute_helpers(config: MachineConfig) -> Vec<(u64, u64)> {
+    let app = find("linear_regression").expect("registered workload");
+    let instance = app.build(&AppConfig {
+        threads: 4,
+        scale: 0.05,
+        fixed: false,
+        seed: 1,
+    });
+    let obs = ObsHandle::fresh();
+    let machine = Machine::new(config.with_obs(obs.clone()));
+    machine.run(instance.program, &mut NullObserver);
+    let classify = obs.spans_sorted_by_attr("shard.classify", "phase");
+    let precompute = obs.spans_sorted_by_attr("shard.precompute", "phase");
+    assert!(!precompute.is_empty(), "no shard.precompute spans recorded");
+    assert_eq!(classify.len(), precompute.len());
+    classify
+        .iter()
+        .zip(&precompute)
+        .map(|(classify, precompute)| {
+            assert_eq!(classify.attr_u64("phase"), precompute.attr_u64("phase"));
+            (
+                classify.attr_u64("workers").expect("workers attr"),
+                precompute
+                    .attr_u64("helper_threads")
+                    .expect("helper_threads attr"),
+            )
+        })
+        .collect()
+}
+
+/// (c) Precompute runs on the calling thread too: two shards spawn one
+/// helper for a phase of two or more workers, and the one-shard
+/// perturbed-schedule route spawns none.
+#[test]
+fn precompute_spans_report_helper_threads() {
+    let two_shards = precompute_helpers(MachineConfig::with_cores(16).with_shards(2));
+    for (workers, helpers) in two_shards {
+        assert!(workers >= 2, "{workers} workers");
+        assert_eq!(helpers, 1, "{workers} workers at 2 shards");
+    }
+    let perturbed = precompute_helpers(
+        MachineConfig::with_cores(16)
+            .with_shards(1)
+            .with_schedule(SchedulePolicy::SeededShuffle { seed: 3 }),
+    );
+    for (workers, helpers) in perturbed {
+        assert_eq!(helpers, 0, "{workers} workers at 1 shard");
     }
 }
 
